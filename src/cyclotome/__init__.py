@@ -54,7 +54,6 @@ from .dominance import (
 )
 from .forms import (
     GradedClass,
-    HalfInt,
     NotIndecomposableError,
     d_form,
     deg_phi,
@@ -73,7 +72,7 @@ from .forms import (
     twist_exponent,
     window_height,
 )
-from .laurent import FormalSum, HalfLaurent, quantum_int, quantum_factorial
+from .laurent import FormalSum, HalfInt, HalfLaurent, quantum_int, quantum_factorial
 from .serre import DegreeTooLargeError, serre_quotient_dims
 from .relations import (
     Check,

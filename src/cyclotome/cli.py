@@ -16,7 +16,14 @@ import sys
 
 from .cyclic import CycIndex, build_index, rep_space_dot
 from .derived import ar_quiver_dot
-from .dominance import VWPair, enumerate_l_dominant, solve_w_tilde
+from .dominance import (
+    VWPair,
+    enumerate_l_dominant,
+    format_vector,
+    kostant_partitions,
+    solve_w_tilde,
+    validate_pair,
+)
 from .forms import (
     d_form,
     leading_exponent,
@@ -96,8 +103,6 @@ def parse_sparse(index: CycIndex, literal: str) -> dict:
 
 def parse_pair(index: CycIndex, literal: str) -> VWPair:
     """Parse ``v=<sparse>;w=<sparse>`` into a pair (index discipline enforced)."""
-    from .dominance import validate_pair
-
     v: dict = {}
     w: dict = {}
     for part in literal.split(";"):
@@ -110,15 +115,6 @@ def parse_pair(index: CycIndex, literal: str) -> VWPair:
         else:
             raise ValueError(f"pair literal needs v=...;w=..., got {side!r}")
     return validate_pair(index, VWPair(v, w))
-
-
-def format_vector(index: CycIndex, vec: dict) -> str:
-    if not vec:
-        return "0"
-    return " + ".join(
-        (f"{c}*" if c != 1 else "") + f"e[{index.vertex_name(k)}]"
-        for k, c in sorted(vec.items())
-    )
 
 
 def _vector_json(vec: dict) -> list:
@@ -310,8 +306,6 @@ def cmd_verify(args) -> int:
 
 def cmd_serre_dims(args) -> int:
     index = _build_index(args)
-    from .dominance import kostant_partitions
-
     dims = serre_quotient_dims(index.quiver, args.maxdeg)
     rows = []
     all_ok = True
@@ -366,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep-space", help="the framed ladder diagram as DOT")
     common(p)
-    p.add_argument("--dot", action="store_true", default=True)
     p.set_defaults(fn=cmd_rep_space)
 
     p = sub.add_parser("enumerate", help="all l-dominant v for a given w")

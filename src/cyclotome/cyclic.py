@@ -83,10 +83,6 @@ class CycIndex:
         """The canonical section: the window object covering a sigma-I-hat vertex."""
         return self.ar.object_of_slot(self.section[v])
 
-    def vertex_of_module(self, slot: Slot) -> Vertex:
-        """The sigma-I-hat vertex of a module slot under the section."""
-        return self.vertex_of_slot[slot]
-
     # -- vector plumbing --
 
     def e_slot(self, slot: Slot) -> dict[Vertex, int]:

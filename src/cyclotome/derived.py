@@ -188,9 +188,6 @@ class ARQuiver:
     def is_module_slot(self, slot: Slot) -> bool:
         return slot in self.root_of
 
-    def is_projective(self, slot: Slot) -> bool:
-        return slot[1] == 0
-
     def is_injective(self, slot: Slot) -> bool:
         return slot in self._injective_slots
 
@@ -258,9 +255,6 @@ class ARQuiver:
         if gap == 0:
             return max(pairing, 0)
         return max(-pairing, 0)
-
-    def hom_dim_slots(self, x: Slot, y: Slot, gap: int = 0) -> int:
-        return self.hom_dim(DerivedObject(x, 0), DerivedObject(y, gap))
 
 
 def knit(quiver: DynkinQuiver) -> ARQuiver:

@@ -18,6 +18,7 @@ from itertools import product
 
 from .cyclic import CycIndex, Vertex
 from .derived import DerivedObject, Slot
+from .vectors import add, canon, canonical_order, scale, sub
 
 
 class NotDominantError(ValueError):
@@ -40,42 +41,14 @@ class EnumerationMismatchError(RuntimeError):
     """Structural enumerator and brute-force search disagree."""
 
 
-def _canon(vec: dict[Vertex, int]) -> dict[Vertex, int]:
-    return {k: int(c) for k, c in sorted(vec.items()) if c}
-
-
-def canonical_order(vecs) -> list[dict[Vertex, int]]:
-    """Sort sparse vectors deterministically (by their sorted item tuples)."""
-    return [dict(items) for items in sorted(tuple(_canon(v).items()) for v in vecs)]
-
-
-def _add(*vecs: dict[Vertex, int]) -> dict[Vertex, int]:
-    out: dict[Vertex, int] = {}
-    for vec in vecs:
-        for k, c in vec.items():
-            out[k] = out.get(k, 0) + c
-    return _canon(out)
-
-
-def _sub(a: dict[Vertex, int], b: dict[Vertex, int]) -> dict[Vertex, int]:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
-def _scale(vec: dict[Vertex, int], m: int) -> dict[Vertex, int]:
-    return {k: c * m for k, c in vec.items() if c * m}
-
-
 class VWPair:
     """A pair of finitely supported nonnegative vectors (v, w)."""
 
     __slots__ = ("v", "w", "_key")
 
     def __init__(self, v: dict[Vertex, int], w: dict[Vertex, int]):
-        self.v = _canon(v)
-        self.w = _canon(w)
+        self.v = canon(v)
+        self.w = canon(w)
         if any(c < 0 for c in self.v.values()) or any(c < 0 for c in self.w.values()):
             raise ValueError("VWPair entries must be nonnegative")
         self._key = (tuple(self.v.items()), tuple(self.w.items()))
@@ -93,7 +66,7 @@ class VWPair:
         return hash(self._key)
 
     def __add__(self, other: "VWPair") -> "VWPair":
-        return VWPair(_add(self.v, other.v), _add(self.w, other.w))
+        return VWPair(add(self.v, other.v), add(self.w, other.w))
 
     def mass(self) -> int:
         return sum(self.w.values())
@@ -102,15 +75,17 @@ class VWPair:
         return f"VWPair(v={self.v}, w={self.w})"
 
     def pretty(self, index: CycIndex) -> str:
-        def side(vec):
-            if not vec:
-                return "0"
-            return " + ".join(
-                (f"{c}*" if c != 1 else "") + f"e[{index.vertex_name(k)}]"
-                for k, c in vec.items()
-            )
+        return f"({format_vector(index, self.v)}, {format_vector(index, self.w)})"
 
-        return f"({side(self.v)}, {side(self.w)})"
+
+def format_vector(index: CycIndex, vec: dict[Vertex, int]) -> str:
+    """A sparse vector as a sum of named basis vectors e[...], in sorted order."""
+    if not vec:
+        return "0"
+    return " + ".join(
+        (f"{c}*" if c != 1 else "") + f"e[{index.vertex_name(k)}]"
+        for k, c in sorted(vec.items())
+    )
 
 
 ZERO_PAIR = VWPair({}, {})
@@ -153,7 +128,7 @@ def cones(index: CycIndex) -> Cones:
 def w_f(index: CycIndex, i: int) -> dict[Vertex, int]:
     """w^f_i = e_{sigma S_i} + e_{sigma Sigma S_i}."""
     s = index.vertex_of_slot[index.ar.simple[i]]
-    return _add(
+    return add(
         {index.sigma(s): 1},
         {index.sigma(index.shift_vertex(s)): 1},
     )
@@ -168,7 +143,7 @@ def v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
         val = ar.hom_dim(si, index.object_at(v))
         if val:
             out[v] = val
-    return _canon(out)
+    return canon(out)
 
 
 def v_sigma_f(index: CycIndex, i: int) -> dict[Vertex, int]:
@@ -187,7 +162,7 @@ def validate_pair(index: CycIndex, pair: VWPair) -> VWPair:
 def residual(index: CycIndex, pair: VWPair) -> dict[Vertex, int]:
     """w - C_q v as a signed vector on I-hat."""
     index.assert_w_vector(pair.w)
-    return _sub(pair.w, index.q_cartan_apply(pair.v))
+    return sub(pair.w, index.q_cartan_apply(pair.v))
 
 
 def is_l_dominant(index: CycIndex, pair: VWPair) -> bool:
@@ -213,22 +188,22 @@ def decompose(index: CycIndex, pair: VWPair) -> tuple[VWPair, VWPair, VWPair]:
         inj_vertex = index.vertex_of_slot[ar.injective[i]]
         b[i] = pair.v.get(inj_vertex, 0)
         bp[i] = pair.v.get(index.shift_vertex(inj_vertex), 0)
-    v0 = _add(
-        *[_scale(v_f(index, i), b[i]) for i in index.quiver.vertices],
-        *[_scale(v_sigma_f(index, i), bp[i]) for i in index.quiver.vertices],
+    v0 = add(
+        *[scale(v_f(index, i), b[i]) for i in index.quiver.vertices],
+        *[scale(v_sigma_f(index, i), bp[i]) for i in index.quiver.vertices],
     )
-    w0 = _add(*[_scale(w_f(index, i), b[i] + bp[i]) for i in index.quiver.vertices])
+    w0 = add(*[scale(w_f(index, i), b[i] + bp[i]) for i in index.quiver.vertices])
 
-    diff = _sub(pair.v, v0)
+    diff = sub(pair.v, v0)
     v_plus = {k: c for k, c in diff.items() if k in co.v_plus}
     v_minus = {k: c for k, c in diff.items() if k in co.v_minus}
-    if _add(v_plus, v_minus) != _canon(diff):
+    if add(v_plus, v_minus) != canon(diff):
         raise DecompositionFailureError("v - v0 is not supported on V+ and V-")
 
-    w_rem = _sub(pair.w, w0)
+    w_rem = sub(pair.w, w0)
     w_plus = {k: c for k, c in w_rem.items() if k in co.w_plus}
     w_minus = {k: c for k, c in w_rem.items() if k in co.w_minus}
-    if _add(w_plus, w_minus) != _canon(w_rem):
+    if add(w_plus, w_minus) != canon(w_rem):
         raise DecompositionFailureError("w - w0 left the W+ / W- supports")
 
     parts = []
@@ -275,14 +250,14 @@ def iota_additive(index: CycIndex, multiset) -> VWPair:
     total = ZERO_PAIR
     for slot, mult in multiset:
         part = iota(index, slot)
-        total = total + VWPair(_scale(part.v, mult), _scale(part.w, mult))
+        total = total + VWPair(scale(part.v, mult), scale(part.w, mult))
     return total
 
 
 def solve_w_tilde(index: CycIndex, wtilde: dict[Vertex, int]) -> VWPair:
     """The unique l-dominant pair in V+ x W^S with w - C_q v = wtilde (wtilde in W+)."""
     co = cones(index)
-    wtilde = _canon(wtilde)
+    wtilde = canon(wtilde)
     if any(c < 0 for c in wtilde.values()) or any(k not in co.w_plus for k in wtilde):
         raise NotInWPlusError("wtilde is not a nonnegative vector in W+")
     multiset = [
@@ -291,7 +266,7 @@ def solve_w_tilde(index: CycIndex, wtilde: dict[Vertex, int]) -> VWPair:
     pair = iota_additive(index, multiset)
     assert all(k in co.v_plus for k in pair.v), "lift left V+"
     assert all(k in co.w_s for k in pair.w), "lift left W^S"
-    got = _canon(residual(index, pair))
+    got = canon(residual(index, pair))
     if got != wtilde:
         raise AssertionError(f"lift residual {got} != {wtilde}")
     return pair
@@ -373,7 +348,7 @@ def enumerate_l_dominant(
     brute-force search; a mismatch raises EnumerationMismatchError.
     """
     co = cones(index)
-    w = _canon(w)
+    w = canon(w)
     if any(c < 0 for c in w.values()):
         raise UnsupportedWeightError("w must be nonnegative")
     if any(k not in co.w_s and k not in co.w_sigma_s for k in w):
@@ -401,16 +376,16 @@ def enumerate_l_dominant(
         for bs in product(*(range(cmap[i] + 1) for i in verts)):
             bmap = dict(zip(verts, bs))
             cartan_vs.append(
-                _add(
-                    *[_scale(vf[i], bmap[i]) for i in verts],
-                    *[_scale(vsf[i], cmap[i] - bmap[i]) for i in verts],
+                add(
+                    *[scale(vf[i], bmap[i]) for i in verts],
+                    *[scale(vsf[i], cmap[i] - bmap[i]) for i in verts],
                 )
             )
         expected += len(plus_vs) * len(minus_vs) * len(cartan_vs)
         for vp in plus_vs:
             for vm in minus_vs:
                 for v0 in cartan_vs:
-                    results.add(tuple(_add(vp, v0, vm).items()))
+                    results.add(tuple(add(vp, v0, vm).items()))
     if len(results) != expected:
         raise EnumerationMismatchError(
             f"triangular enumeration produced {len(results)} != {expected} pairs"
@@ -434,7 +409,7 @@ def enumerate_l_dominant_bruteforce(
     soon as some w - C_q v coordinate is negative and no unassigned coordinate
     can raise it (only the adjacent-vertex contributions are positive).
     """
-    w = _canon(w)
+    w = canon(w)
     if cap is None:
         cap = sum(w.values()) * index.h
     coords = sorted(index.sigma_i_hat, key=lambda v: (v[1], v[0]))
@@ -455,7 +430,7 @@ def enumerate_l_dominant_bruteforce(
     assignment: dict[Vertex, int] = {}
 
     def slack(partial_v) -> dict[Vertex, int]:
-        return _sub(w, index.q_cartan_apply(partial_v))
+        return sub(w, index.q_cartan_apply(partial_v))
 
     def rec(pos: int):
         res = slack(assignment)
@@ -482,14 +457,14 @@ def solve_w_tilde_bruteforce(
 ) -> list[VWPair]:
     """All (v, w) in V+ x W^S with w - C_q v = wtilde, v capped coordinatewise."""
     co = cones(index)
-    wtilde = _canon(wtilde)
+    wtilde = canon(wtilde)
     if cap is None:
         cap = sum(wtilde.values()) * index.h
     v_coords = sorted(co.v_plus)
     found = []
     for values in product(range(cap + 1), repeat=len(v_coords)):
         v = {x: val for x, val in zip(v_coords, values) if val}
-        w = _add(wtilde, index.q_cartan_apply(v))
+        w = add(wtilde, index.q_cartan_apply(v))
         if any(c < 0 for c in w.values()):
             continue
         if any(k not in co.w_s for k in w):

@@ -12,69 +12,12 @@ from typing import NamedTuple
 from .cyclic import CycIndex, Vertex
 from .dominance import VWPair, residual
 from .derived import Slot
+from .laurent import HalfInt
 from .quiver import euler_form
 
 
 class NotIndecomposableError(ValueError):
     pass
-
-
-class HalfInt:
-    """An element of (1/2)Z stored as twice its value; exact arithmetic only."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        self.twice = int(twice)
-
-    @classmethod
-    def of(cls, value) -> "HalfInt":
-        if isinstance(value, HalfInt):
-            return value
-        return cls(2 * value)
-
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __mul__(self, other: int):
-        if isinstance(other, HalfInt):
-            if other.twice % 2:
-                raise ValueError("product would leave (1/2)Z")
-            other = other.twice // 2
-        return HalfInt(self.twice * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return self.twice == HalfInt.of(other).twice
-
-    def __lt__(self, other):
-        return self.twice < HalfInt.of(other).twice
-
-    def __le__(self, other):
-        return self.twice <= HalfInt.of(other).twice
-
-    def __hash__(self):
-        return hash(("HalfInt", self.twice))
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __repr__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
 
 
 class GradedClass(NamedTuple):

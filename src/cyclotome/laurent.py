@@ -1,13 +1,84 @@
-"""Integer Laurent polynomials with half-integer exponents, and formal sums.
+"""Exact scalars: half-integers, integer Laurent polynomials with half-integer
+exponents, and formal sums.
 
-Terms are stored sparsely as {twice_exponent: coefficient}; the bar involution
-negates every exponent.  FormalSum carries finitely many basis labels with
-HalfLaurent coefficients and is the currency of the relation verifier.
+HalfInt stores twice its value.  HalfLaurent stores its terms sparsely as
+{twice_exponent: coefficient}; the bar involution negates every exponent.
+FormalSum carries finitely many basis labels with HalfLaurent coefficients and
+is the currency of the relation verifier.  This module imports nothing else
+from the package, so every other layer can build on it.
 """
 
 from __future__ import annotations
 
-from .forms import HalfInt
+
+class HalfInt:
+    """An element of (1/2)Z stored as twice its value; exact arithmetic only.
+
+    Only ints and HalfInts convert; an integer-valued HalfInt equals and hashes
+    like the int it is.
+    """
+
+    __slots__ = ("twice",)
+
+    def __init__(self, twice: int):
+        if not isinstance(twice, int):
+            raise TypeError(f"HalfInt takes twice its value as an int, got {twice!r}")
+        self.twice = int(twice)
+
+    @classmethod
+    def of(cls, value) -> "HalfInt":
+        if isinstance(value, HalfInt):
+            return value
+        if isinstance(value, int):
+            return cls(2 * value)
+        raise TypeError(f"cannot convert {value!r} to HalfInt")
+
+    def __add__(self, other):
+        return HalfInt(self.twice + HalfInt.of(other).twice)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return HalfInt(self.twice - HalfInt.of(other).twice)
+
+    def __rsub__(self, other):
+        return HalfInt(HalfInt.of(other).twice - self.twice)
+
+    def __neg__(self):
+        return HalfInt(-self.twice)
+
+    def __mul__(self, other: int):
+        if isinstance(other, HalfInt):
+            if other.twice % 2:
+                raise ValueError("product would leave (1/2)Z")
+            other = other.twice // 2
+        return HalfInt(self.twice * other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, (HalfInt, int)):
+            return NotImplemented
+        return self.twice == HalfInt.of(other).twice
+
+    def __lt__(self, other):
+        return self.twice < HalfInt.of(other).twice
+
+    def __le__(self, other):
+        return self.twice <= HalfInt.of(other).twice
+
+    def __hash__(self):
+        if self.twice % 2 == 0:
+            return hash(self.twice // 2)
+        return hash(("HalfInt", self.twice))
+
+    def is_integer(self) -> bool:
+        return self.twice % 2 == 0
+
+    def __repr__(self):
+        if self.twice % 2 == 0:
+            return str(self.twice // 2)
+        return f"{self.twice}/2"
 
 
 class HalfLaurent:
@@ -82,6 +153,9 @@ class HalfLaurent:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:
+            # a constant hashes like the int it equals
+            return hash(self.terms.get(0, 0))
         return hash(tuple(self.terms.items()))
 
     def __repr__(self):

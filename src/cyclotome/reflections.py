@@ -91,45 +91,25 @@ def _rref(rows):
 
 
 def matrix_rank(rows) -> int:
-    if not rows or not rows[0]:
-        return 0
     return len(_rref(rows)[0])
 
 
 def _cokernel_projection(f_columns, dim_total):
     """A (dim_total - r) x dim_total matrix whose kernel is the span of the columns.
 
-    The quotient coordinates are read off the non-pivot slots after extending a
-    basis of the image by standard vectors.
+    The reduced image basis is extended to a basis of the whole space by the
+    standard vectors that are pivot columns of [basis^T | I], the first that
+    are independent of the basis and of each other.  With T = [basis | those
+    vectors], the quotient coordinates are the bottom rows of T^-1, read off
+    the reduced form of [T | I].
     """
-    reduced, pivots = _rref([list(col) for col in f_columns]) if f_columns else ([], [])
-    # reduced rows span the image (row space of the transposed column stack)
-    basis = [list(r) for r in reduced]
-    chosen = []
-    for j in range(dim_total):
-        cand = [Fraction(1) if i == j else Fraction(0) for i in range(dim_total)]
-        if matrix_rank(basis + chosen + [cand]) > len(basis) + len(chosen):
-            chosen.append(cand)
-    # T columns: image basis then chosen standard vectors; pi = bottom rows of T^{-1}
-    t_cols = [list(b) for b in basis] + chosen
-    tmat = [[t_cols[j][i] for j in range(dim_total)] for i in range(dim_total)]
-    tinv = _invert(tmat)
-    return tuple(tuple(tinv[i]) for i in range(len(basis), dim_total))
-
-
-def _invert(m):
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    basis, _ = _rref(f_columns)
+    r = len(basis)
+    eye = [[int(i == j) for j in range(dim_total)] for i in range(dim_total)]
+    _, pivots = _rref([[b[i] for b in basis] + eye[i] for i in range(dim_total)])
+    t_cols = basis + [eye[p - r] for p in pivots[r:]]
+    tinv, _ = _rref([[col[i] for col in t_cols] + eye[i] for i in range(dim_total)])
+    return tuple(tuple(row[dim_total:]) for row in tinv[r:])
 
 
 def _reflect_source_minus(rep: Rep, k: int) -> Rep:

@@ -142,10 +142,6 @@ def _words(beta):
     letters = []
     for i, k in enumerate(beta, start=1):
         letters.extend([i] * k)
-    if not letters:
-        yield ()
-        return
-    seen = set()
 
     def rec(remaining, prefix):
         if not remaining:
@@ -158,10 +154,7 @@ def _words(beta):
             used.add(letter)
             yield from rec(remaining[:k] + remaining[k + 1:], prefix + [letter])
 
-    for w in rec(letters, []):
-        if w not in seen:
-            seen.add(w)
-            yield w
+    yield from rec(letters, [])
 
 
 def _multidegrees(n, total):
@@ -201,7 +194,7 @@ def _slice_dim(quiver: DynkinQuiver, gens, beta) -> int:
         rest = tuple(b - g for b, g in zip(beta, gamma))
         if any(x < 0 for x in rest):
             continue
-        for left_deg in _all_subdegrees(rest):
+        for left_deg in product(*(range(r + 1) for r in rest)):
             right_deg = tuple(r - l for r, l in zip(rest, left_deg))
             for u in _words(left_deg):
                 for w in _words(right_deg):
@@ -214,10 +207,6 @@ def _slice_dim(quiver: DynkinQuiver, gens, beta) -> int:
                     rows.append(_laurent_row_to_poly(laurent_row, col, len(basis)))
     rank = bareiss_rank([r for r in rows if any(r)])
     return len(basis) - rank
-
-
-def _all_subdegrees(rest):
-    return product(*(range(r + 1) for r in rest))
 
 
 def _laurent_row_to_poly(laurent_row, col, width):

@@ -36,7 +36,8 @@ from cyclotome import (
     v_sigma_f,
     w_f,
 )
-from cyclotome.dominance import _add, canonical_order, iota_additive
+from cyclotome.dominance import iota_additive
+from cyclotome.vectors import add, canonical_order
 
 
 def a1():
@@ -67,10 +68,10 @@ class TestCartanVectors:
         e = lambda slot: {idx.vertex_of_slot[slot]: 1}
         s1, p2, s2 = ar.simple[1], ar.projective[2], ar.simple[2]
         sig = ar.sigma_slot
-        assert v_f(idx, 1) == _add(e(s1), e(p2))
-        assert v_f(idx, 2) == _add(e(s2), e(sig[s1]))
-        assert v_sigma_f(idx, 1) == _add(e(sig[s1]), e(sig[p2]))
-        assert v_sigma_f(idx, 2) == _add(e(sig[s2]), e(s1))
+        assert v_f(idx, 1) == add(e(s1), e(p2))
+        assert v_f(idx, 2) == add(e(s2), e(sig[s1]))
+        assert v_sigma_f(idx, 1) == add(e(sig[s1]), e(sig[p2]))
+        assert v_sigma_f(idx, 2) == add(e(sig[s2]), e(s1))
 
     @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
     def test_cartan_identity(self, t):
@@ -140,7 +141,7 @@ class TestDominance:
     def test_decompose_recombines_everywhere(self, t):
         idx = build_index(orient(t, "linear"))
         verts = list(idx.quiver.vertices)
-        w = _add(
+        w = add(
             w_f(idx, verts[0]),
             {idx.sigma(idx.vertex_of_slot[idx.ar.simple[verts[-1]]]): 1},
         )
@@ -213,7 +214,7 @@ class TestSolve:
         ws = sorted(idx.sigma(idx.vertex_of_slot[s]) for s in idx.ar.modules)
         for y1 in ws:
             for y2 in ws:
-                wt = _add({y1: 1}, {y2: 1})
+                wt = add({y1: 1}, {y2: 1})
                 sols = solve_w_tilde_bruteforce(idx, wt)
                 assert sols == [solve_w_tilde(idx, wt)]
 
@@ -296,7 +297,7 @@ class TestEnumerate:
     def test_brute_force_agrees_on_mixed_sector(self):
         idx = a2()
         s1 = idx.vertex_of_slot[idx.ar.simple[1]]
-        w = _add(
+        w = add(
             {idx.sigma(s1): 1},
             {idx.sigma(idx.shift_vertex(s1)): 1},
             {idx.sigma(idx.vertex_of_slot[idx.ar.simple[2]]): 1},
@@ -308,7 +309,7 @@ class TestEnumerate:
     def test_a3_mixed_sector_verified(self):
         idx = build_index(orient("A3", "linear"))
         s = {i: idx.vertex_of_slot[idx.ar.simple[i]] for i in (1, 2, 3)}
-        w = _add(
+        w = add(
             {idx.sigma(s[1]): 1},
             {idx.sigma(s[2]): 1},
             {idx.sigma(idx.shift_vertex(s[1])): 1},
@@ -325,7 +326,7 @@ class TestEnumerate:
         s1 = idx.vertex_of_slot[idx.ar.simple[1]]
         for m in range(3):
             for mp in range(3):
-                w = _add(
+                w = add(
                     {idx.sigma(s1): m} if m else {},
                     {idx.sigma(idx.shift_vertex(s1)): mp} if mp else {},
                 )
@@ -345,7 +346,7 @@ def test_iota_additive_matches_residual():
     ar = idx.ar
     multiset = [(ar.projective[2], 2), (ar.simple[3], 1)]
     pair = iota_additive(idx, multiset)
-    expected = _add(
+    expected = add(
         {idx.sigma(idx.vertex_of_slot[ar.projective[2]]): 2},
         {idx.sigma(idx.vertex_of_slot[ar.simple[3]]): 1},
     )

@@ -1,0 +1,60 @@
+"""Golden CLI outputs and demo runs: refactors must not change what users see.
+
+Core claims:
+    - each subcommand below prints exactly the bytes stored in tests/golden/
+    - every script under demos/ runs to completion with exit code 0
+
+To refresh a golden file after an intended output change, run the case's argv
+through ``cyclotome`` and overwrite ``tests/golden/<name>.txt``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cyclotome.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
+
+CASES = {
+    "verify_all_a3_alternating_json": [
+        "verify", "all", "--type", "A3", "--orientation", "alternating", "--json",
+    ],
+    "describe_d4_json": ["describe", "--type", "D4", "--json"],
+    "enumerate_a3": [
+        "enumerate", "--type", "A3",
+        "--w", "sigma(S1)=1,sigma(S2)=1,sigma(SigmaS2)=1,sigma(SigmaS3)=1",
+    ],
+    "enumerate_a3_json_verify": [
+        "enumerate", "--type", "A3", "--w", "sigma(S1)=1,sigma(S2)=1,sigma(S3)=1",
+        "--json", "--verify",
+    ],
+    "lift_a3": ["lift", "--type", "A3", "--wtilde", "sigma(P1)=1,sigma(P2)=2,sigma(S3)=1"],
+    "forms_a2": [
+        "forms", "--type", "A2",
+        "--pair", "v=0;w=sigma(S1)=1",
+        "--pair", "v=S1=1,P2=1;w=sigma(S1)=1,sigma(SigmaS1)=1",
+    ],
+    "serre_dims_a3_json": ["serre-dims", "--type", "A3", "--maxdeg", "4", "--json"],
+    "ar_quiver_e6_dot": ["ar-quiver", "--type", "E6", "--dot"],
+    "rep_space_d4": ["rep-space", "--type", "D4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name, capsys):
+    code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_exits_zero(demo):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / demo)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,16 @@ Core claims:
     - HalfLaurent is a commutative ring; bar is an involutive automorphism
     - quantum integers are bar-invariant; [2]_t = t + t^-1
     - FormalSum addition/scaling behave and drop zero coefficients
+    - HalfInt and HalfLaurent compare equal only to exact values, and equal
+      values hash alike
 """
 
 import random
+from fractions import Fraction
 
-from cyclotome import FormalSum, HalfLaurent, quantum_factorial, quantum_int
+import pytest
+
+from cyclotome import FormalSum, HalfInt, HalfLaurent, quantum_factorial, quantum_int
 from cyclotome.laurent import T, T_HALF, T_INV
 
 
@@ -76,3 +81,51 @@ class TestFormalSum:
         scaled = s.scale(T - T_INV)
         assert scaled.coefficient("x") == T - T_INV
         assert scaled.coefficient("y") == T_INV - T
+
+
+class TestEqualityAndHashing:
+    def test_integer_halfint_hashes_like_int(self):
+        assert HalfInt(2) == 1
+        assert len({HalfInt(2), 1}) == 1
+        assert hash(HalfInt(-6)) == hash(-3)
+        assert {HalfInt(4): "x"}[2] == "x"
+
+    def test_half_integers_stay_distinct(self):
+        assert len({HalfInt(1), HalfInt(3), HalfInt(1)}) == 2
+        assert HalfInt(1) != 0 and HalfInt(1) != 1
+
+    def test_constant_laurent_hashes_like_int(self):
+        assert len({HalfLaurent.from_int(1), 1}) == 1
+        assert hash(HalfLaurent.zero()) == hash(0)
+        assert hash(HalfLaurent.from_int(-5)) == hash(-5)
+        assert len({T, T_INV, T}) == 2
+
+    def test_foreign_types_are_unequal(self):
+        assert not HalfInt(0) == 0.25
+        assert not HalfInt(0) == Fraction(1, 3)
+        assert HalfInt(1) != "a"
+        assert HalfInt(1) != Fraction(1, 2)
+        assert HalfLaurent.from_int(1) != "a"
+
+    def test_only_ints_convert(self):
+        for bad in (1.9, Fraction(1, 2), "2", None):
+            with pytest.raises(TypeError):
+                HalfInt(bad)
+            with pytest.raises(TypeError):
+                HalfInt.of(bad)
+        assert HalfInt.of(HalfInt(3)) == HalfInt(3)
+        assert repr(HalfInt.of(-2)) == "-2"
+
+    def test_ordering_rejects_foreign_types(self):
+        assert HalfInt(1) < 1 and HalfInt(2) <= 1
+        with pytest.raises(TypeError):
+            HalfInt(1) < 0.75
+
+    def test_hash_agrees_with_equality_random(self):
+        rng = random.Random(11)
+        values = [HalfInt(rng.randint(-8, 8)) for _ in range(40)]
+        values += list(range(-4, 5))
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b)

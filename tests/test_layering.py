@@ -1,0 +1,47 @@
+"""The import graph, read statically with ast.
+
+Core claims:
+    - the exact scalars (laurent.py) and sparse vectors (vectors.py) sit at the
+      bottom of the graph: they import nothing from the package
+    - no module under src/ or tests/ imports a _private name from another
+      package module
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cyclotome"
+FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def package_imports(path: Path):
+    """(module, name) for every `from <package module> import name` in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module == "cyclotome" or module.startswith("cyclotome."):
+                for alias in node.names:
+                    yield module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "cyclotome":
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("name", ["laurent.py", "vectors.py"])
+def test_bottom_modules_import_nothing_from_the_package(name):
+    assert list(package_imports(PACKAGE / name)) == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_names_cross_modules(path):
+    private = [
+        (module, name)
+        for module, name in package_imports(path)
+        if name is not None and name.startswith("_") and not name.startswith("__")
+    ]
+    assert private == []

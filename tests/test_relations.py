@@ -25,7 +25,7 @@ from cyclotome import (
     verify_same_n,
     verify_serre,
 )
-from cyclotome.forms import HalfInt
+from cyclotome.laurent import HalfInt
 from cyclotome.relations import CaseMismatchError
 
 
