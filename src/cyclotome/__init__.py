@@ -24,12 +24,13 @@ from .quiver import (
     unit_vector,
 )
 from .derived import ARQuiver, DerivedObject, MixedSignClassError, knit
-from .reflections import hom_dim_bruteforce
-from .cyclic import CycIndex, build_index
+from .reflections import ReflectionWalkError, hom_dim_bruteforce
+from .cyclic import CycIndex, IndexInvariantError, build_index
 from .dominance import (
     Cones,
     DecompositionFailureError,
     EnumerationMismatchError,
+    LiftInvariantError,
     NotDominantError,
     NotInWPlusError,
     UnsupportedWeightError,
@@ -94,9 +95,10 @@ __all__ = [
     "ARQuiver", "Check", "Cones", "CycIndex", "DecompositionFailureError",
     "DegreeTooLargeError", "DerivedObject", "DynkinQuiver",
     "EnumerationMismatchError", "FormalSum", "GradedClass", "HalfInt",
-    "HalfLaurent", "MixedSignClassError", "NotADEError", "NotATreeError",
+    "HalfLaurent", "IndexInvariantError", "LiftInvariantError",
+    "MixedSignClassError", "NotADEError", "NotATreeError",
     "NotDominantError", "NotInWPlusError", "NotIndecomposableError",
-    "NotSimplyLacedError", "UnsupportedWeightError", "VWPair",
+    "NotSimplyLacedError", "ReflectionWalkError", "UnsupportedWeightError", "VWPair",
     "VerificationReport", "all_orientations", "build_index", "cartan_entry",
     "chevalley_exponent_table", "chevalley_generators", "cones", "d_form",
     "decompose", "deg_phi", "enumerate_l_dominant",

@@ -59,6 +59,17 @@ def _build_index(args) -> CycIndex:
     return build_index(quiver)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for caps: a report that checked zero cases is no pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_token_name(index: CycIndex, name: str):
     """Resolve S1 / P2 / I3 / SigmaS1 / sigma(...) to a vertex."""
     name = name.strip()
@@ -69,16 +80,17 @@ def _parse_token_name(index: CycIndex, name: str):
     if name.startswith("Sigma"):
         shift = True
         name = name[5:]
-    kind, label = name[0], int(name[1:])
-    if kind == "S":
-        slot = index.ar.simple[label]
-    elif kind == "P":
-        slot = index.ar.projective[label]
-    elif kind == "I":
-        slot = index.ar.injective[label]
-    else:
+    if not name:
+        raise ValueError("empty object token")
+    kind, label = name[0], name[1:]
+    slots = {
+        "S": index.ar.simple, "P": index.ar.projective, "I": index.ar.injective
+    }.get(kind)
+    if slots is None:
         raise ValueError(f"unknown object token {kind!r}")
-    v = index.vertex_of_slot[slot]
+    if not label.isdigit() or int(label) not in slots:
+        raise ValueError(f"{name!r} names no vertex of {index.quiver.dynkin_type}")
+    v = index.vertex_of_slot[slots[int(label)]]
     return index.shift_vertex(v) if shift else v
 
 
@@ -390,12 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "ek", "ef", "kk", "serre", "same-form", "same-n", "exponent-table"],
     )
     p.add_argument("--markdown", action="store_true")
-    p.add_argument("--mass-cap", type=int, default=3)
+    p.add_argument("--mass-cap", type=_positive_int, default=3)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("serre-dims", help="graded dimensions vs Kostant counts")
     common(p)
-    p.add_argument("--maxdeg", type=int, default=4)
+    p.add_argument("--maxdeg", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_serre_dims)
     return parser
 

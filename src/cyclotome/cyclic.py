@@ -17,6 +17,11 @@ from .quiver import DynkinQuiver, height_function
 Vertex = tuple[int, int]  # (quiver vertex i, height residue a mod 2h)
 
 
+class IndexInvariantError(RuntimeError):
+    """The section, the shift involution or C_q left its index set; signals
+    an internal bug."""
+
+
 class CycIndex:
     def __init__(self, quiver: DynkinQuiver, xi: dict[int, int] | None = None):
         self.quiver = quiver
@@ -24,6 +29,9 @@ class CycIndex:
         self.h = quiver.coxeter_number
         self.two_h = 2 * self.h
         self.xi = dict(xi) if xi is not None else height_function(quiver)
+        # Per-quiver invariants, each filled on first use by dominance.py:
+        # ("v_f", i), ("iota", slot) and "cones".
+        self.tables: dict = {}
 
         self.i_hat: set[Vertex] = set()
         self.sigma_i_hat: set[Vertex] = set()
@@ -40,7 +48,8 @@ class CycIndex:
                 v = (i, (self.xi[i] + 1 + 2 * d) % self.two_h)
                 self.section[v] = (i, d)
                 self.vertex_of_slot[(i, d)] = v
-        assert set(self.section) == self.sigma_i_hat
+        if set(self.section) != self.sigma_i_hat:
+            raise IndexInvariantError("the section does not cover sigma-I-hat")
 
         # The shift involution on vertices: conjugate the slot-level shift
         # through the section on sigma-I-hat, extend to I-hat by commuting
@@ -53,7 +62,8 @@ class CycIndex:
                 self.shift_vertex_map[self.sigma_inv(v)]
             )
         for v, w in self.shift_vertex_map.items():
-            assert self.shift_vertex_map[w] == v, "shift involution broken"
+            if self.shift_vertex_map[w] != v:
+                raise IndexInvariantError("shift involution broken")
 
     # -- vertex maps --
 
@@ -115,20 +125,20 @@ class CycIndex:
         Input supported on sigma-I-hat, output (signed) on I-hat.
         """
         self.assert_v_vector(v)
+        neighbours = self.quiver.neighbours
         out: dict[Vertex, int] = {}
         for (i, a), c in v.items():
             if not c:
                 continue
             for target in ((i, (a + 1) % self.two_h), (i, (a - 1) % self.two_h)):
                 out[target] = out.get(target, 0) + c
-            for j in self.quiver.vertices:
-                if self.quiver.adjacent(i, j):
-                    t = (j, a)
-                    out[t] = out.get(t, 0) - c
+            for j in neighbours[i]:
+                t = (j, a)
+                out[t] = out.get(t, 0) - c
         out = {k: c for k, c in out.items() if c}
         for key in out:
             if key not in self.i_hat:
-                raise AssertionError(f"C_q output key {key} escaped I-hat")
+                raise IndexInvariantError(f"C_q output key {key} escaped I-hat")
         return out
 
     def q_cartan_matrix(self) -> tuple[list[Vertex], list[Vertex], list[list[int]]]:

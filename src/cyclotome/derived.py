@@ -102,6 +102,10 @@ class ARQuiver:
     def __init__(self, quiver: DynkinQuiver):
         self.quiver = quiver
         self.h = quiver.coxeter_number
+        # Per-quiver invariants, each filled on first use: the Euler pairing
+        # of two module slots under ("pairing", x, y), and the brute-force
+        # Hom oracle of reflections.py under "oracle".
+        self.tables: dict = {}
         n = quiver.n
         e = euler_matrix(quiver)
         # -E^{-T} E sends the class of a non-injective module M to the class
@@ -251,7 +255,12 @@ class ARQuiver:
         gap = y.shift - x.shift
         if gap not in (0, 1):
             return 0
-        pairing = euler_form(self.quiver, self.root_of[x.slot], self.root_of[y.slot])
+        key = ("pairing", x.slot, y.slot)
+        pairing = self.tables.get(key)
+        if pairing is None:
+            pairing = self.tables[key] = euler_form(
+                self.quiver, self.root_of[x.slot], self.root_of[y.slot]
+            )
         if gap == 0:
             return max(pairing, 0)
         return max(-pairing, 0)

@@ -41,6 +41,11 @@ class EnumerationMismatchError(RuntimeError):
     """Structural enumerator and brute-force search disagree."""
 
 
+class LiftInvariantError(RuntimeError):
+    """A module lift went negative, left V+ x W^S, or missed its residual;
+    signals an internal bug."""
+
+
 class VWPair:
     """A pair of finitely supported nonnegative vectors (v, w)."""
 
@@ -104,6 +109,10 @@ class Cones:
 
 
 def cones(index: CycIndex) -> Cones:
+    """The cones of an index, computed on first use and stored on it."""
+    co = index.tables.get("cones")
+    if co is not None:
+        return co
     ar = index.ar
     module_vertices = {index.vertex_of_slot[s] for s in ar.modules}
     shifted_vertices = set(index.sigma_i_hat) - module_vertices
@@ -120,7 +129,10 @@ def cones(index: CycIndex) -> Cones:
         for i in index.quiver.vertices
     )
     v_minus = frozenset(index.shift_vertex(v) for v in noninj)
-    return Cones(w_plus, frozenset(noninj), w_s, w_minus, v_minus, w_sigma_s)
+    co = index.tables["cones"] = Cones(
+        w_plus, frozenset(noninj), w_s, w_minus, v_minus, w_sigma_s
+    )
+    return co
 
 
 # -- Cartan vectors -------------------------------------------------------------
@@ -135,18 +147,24 @@ def w_f(index: CycIndex, i: int) -> dict[Vertex, int]:
 
 
 def v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
-    """v^f_i: Hom dimensions from S_i into every section object."""
-    ar = index.ar
-    si = DerivedObject(ar.simple[i], 0)
-    out = {}
-    for v in index.sigma_i_hat:
-        val = ar.hom_dim(si, index.object_at(v))
-        if val:
-            out[v] = val
-    return canon(out)
+    """v^f_i: Hom dimensions from S_i into every section object (a fresh copy
+    of the vector stored on the index)."""
+    key = ("v_f", i)
+    vec = index.tables.get(key)
+    if vec is None:
+        ar = index.ar
+        si = DerivedObject(ar.simple[i], 0)
+        out = {}
+        for v in index.sigma_i_hat:
+            val = ar.hom_dim(si, index.object_at(v))
+            if val:
+                out[v] = val
+        vec = index.tables[key] = canon(out)
+    return dict(vec)
 
 
 def v_sigma_f(index: CycIndex, i: int) -> dict[Vertex, int]:
+    """The shift pullback of v^f_i, built fresh from the stored v^f_i."""
     return index.shift_pullback(v_f(index, i))
 
 
@@ -224,25 +242,34 @@ def decompose(index: CycIndex, pair: VWPair) -> tuple[VWPair, VWPair, VWPair]:
 # -- the module lift -------------------------------------------------------------
 
 def iota(index: CycIndex, slot: Slot) -> VWPair:
-    """The l-dominant lift of an indecomposable module N: w - C_q v = e_{sigma N}."""
+    """The l-dominant lift of an indecomposable module N: w - C_q v = e_{sigma N}.
+
+    Computed once per module slot; every call returns the pair stored on the
+    index.
+    """
+    key = ("iota", slot)
+    pair = index.tables.get(key)
+    if pair is not None:
+        return pair
     ar = index.ar
-    root = ar.root_of[slot]
-    iw: dict[Vertex, int] = {}
-    for i in index.quiver.vertices:
-        if root[i - 1]:
-            iw[index.sigma(index.vertex_of_slot[ar.simple[i]])] = root[i - 1]
+    # (multiplicity, S_i) over the support of the root of N
+    support = [
+        (c, DerivedObject(ar.simple[i], 0))
+        for i, c in enumerate(ar.root_of[slot], 1)
+        if c
+    ]
+    iw = {index.sigma(index.vertex_of_slot[s.slot]): c for c, s in support}
     iv: dict[Vertex, int] = {}
     n_obj = DerivedObject(slot, 0)
     for x in ar.modules:
         tx = ar.tau_inv(DerivedObject(x, 0))
-        val = sum(
-            root[i - 1] * ar.hom_dim(tx, DerivedObject(ar.simple[i], 0))
-            for i in index.quiver.vertices
-        ) - ar.hom_dim(tx, n_obj)
-        assert val >= 0, "iota_V went negative"
+        val = sum(c * ar.hom_dim(tx, s) for c, s in support) - ar.hom_dim(tx, n_obj)
+        if val < 0:
+            raise LiftInvariantError(f"iota_V of {slot} went negative at {x}")
         if val:
             iv[index.vertex_of_slot[x]] = val
-    return VWPair(iv, iw)
+    pair = index.tables[key] = VWPair(iv, iw)
+    return pair
 
 
 def iota_additive(index: CycIndex, multiset) -> VWPair:
@@ -264,11 +291,13 @@ def solve_w_tilde(index: CycIndex, wtilde: dict[Vertex, int]) -> VWPair:
         (index.section[index.sigma_inv(y)], mult) for y, mult in wtilde.items()
     ]
     pair = iota_additive(index, multiset)
-    assert all(k in co.v_plus for k in pair.v), "lift left V+"
-    assert all(k in co.w_s for k in pair.w), "lift left W^S"
+    if any(k not in co.v_plus for k in pair.v):
+        raise LiftInvariantError("lift left V+")
+    if any(k not in co.w_s for k in pair.w):
+        raise LiftInvariantError("lift left W^S")
     got = canon(residual(index, pair))
     if got != wtilde:
-        raise AssertionError(f"lift residual {got} != {wtilde}")
+        raise LiftInvariantError(f"lift residual {got} != {wtilde}")
     return pair
 
 

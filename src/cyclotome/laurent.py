@@ -67,6 +67,12 @@ class HalfInt:
     def __le__(self, other):
         return self.twice <= HalfInt.of(other).twice
 
+    def __gt__(self, other):
+        return self.twice > HalfInt.of(other).twice
+
+    def __ge__(self, other):
+        return self.twice >= HalfInt.of(other).twice
+
     def __hash__(self):
         if self.twice % 2 == 0:
             return hash(self.twice // 2)
@@ -133,9 +139,16 @@ class HalfLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Powers; a negative power exists only for a unit +-t^k."""
+        base = self
+        if n < 0:
+            if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
+                raise ValueError(f"{self!r} is not a unit +-t^k, so it has no inverse")
+            ((k, c),) = self.terms.items()
+            base, n = HalfLaurent({-k: c}), -n
         out = HalfLaurent.from_int(1)
         for _ in range(n):
-            out = out * self
+            out = out * base
         return out
 
     def bar(self) -> "HalfLaurent":

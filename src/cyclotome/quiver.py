@@ -9,7 +9,7 @@ arithmetic on plain tuples and dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 
@@ -40,22 +40,35 @@ COXETER_NUMBER = {
 
 @dataclass(frozen=True)
 class DynkinQuiver:
-    """An oriented ADE tree with its detected type and Coxeter number."""
+    """An oriented ADE tree with its detected type and Coxeter number.
+
+    ``neighbours[i]`` lists the vertices joined to i, in increasing order; it
+    is derived from the arrows and takes no part in equality, hashing or repr.
+    """
 
     n: int
     arrows: tuple[tuple[int, int], ...]
     dynkin_type: str
     coxeter_number: int
+    neighbours: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        nbrs = {i: [] for i in range(1, self.n + 1)}
+        for s, t in self.arrows:
+            nbrs[s].append(t)
+            nbrs[t].append(s)
+        object.__setattr__(
+            self, "neighbours", {i: tuple(sorted(js)) for i, js in nbrs.items()}
+        )
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def edges(self) -> set[frozenset[int]]:
-        return {frozenset(a) for a in self.arrows}
-
     def adjacent(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self.edges()
+        return j in self.neighbours.get(i, ())
 
     def orientation_label(self) -> str:
         return ",".join(f"{s}>{t}" for s, t in sorted(self.arrows))
@@ -274,18 +287,18 @@ def euler_form(q: DynkinQuiver, x, y) -> int:
     Dimension vectors are indexed 1..n; tuples are read with offset 1 and
     dicts are read directly (missing keys count as 0).
     """
-    xi = _coords(q, x)
-    yi = _coords(q, y)
-    total = sum(xi[i] * yi[i] for i in q.vertices)
+    x = _coords(q, x)
+    y = _coords(q, y)
+    total = sum(x[k] * y[k] for k in range(q.n))
     for s, t in q.arrows:
-        total -= xi[s] * yi[t]
+        total -= x[s - 1] * y[t - 1]
     return total
 
 
-def _coords(q: DynkinQuiver, x) -> dict[int, int]:
+def _coords(q: DynkinQuiver, x):
     if isinstance(x, dict):
-        return {i: x.get(i, 0) for i in q.vertices}
-    return {i: x[i - 1] for i in q.vertices}
+        return tuple(x.get(i, 0) for i in q.vertices)
+    return x
 
 
 def cartan_entry(q: DynkinQuiver, i: int, j: int) -> int:

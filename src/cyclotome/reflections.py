@@ -16,6 +16,11 @@ from .derived import ARQuiver, DerivedObject
 from .quiver import DynkinQuiver, euler_form
 
 
+class ReflectionWalkError(RuntimeError):
+    """The reflection walk lost admissibility, did not terminate, or rebuilt
+    the wrong quiver or dimension vector; signals an internal bug."""
+
+
 def _topological_sinks_first(n: int, arrows) -> list[int]:
     out = {i: 0 for i in range(1, n + 1)}
     preds = {i: [] for i in range(1, n + 1)}
@@ -164,7 +169,8 @@ def indecomposable_rep(quiver: DynkinQuiver, root: tuple[int, ...]) -> Rep:
     cap = n * (quiver.coxeter_number + 2)
     while sum(beta) > 1:
         k = seq[t % n]
-        assert not any(s == k for s, _ in arrows), "sequence lost admissibility"
+        if any(s == k for s, _ in arrows):
+            raise ReflectionWalkError("sequence lost admissibility")
         beta_new = _reflect_root(quiver, beta, k)
         if any(x < 0 for x in beta_new):
             raise ValueError(f"{root} is not a positive root")
@@ -175,13 +181,15 @@ def indecomposable_rep(quiver: DynkinQuiver, root: tuple[int, ...]) -> Rep:
         beta = beta_new
         t += 1
         if t > cap:
-            raise RuntimeError(f"reflection walk did not terminate for {root}")
+            raise ReflectionWalkError(f"reflection walk did not terminate for {root}")
     j = beta.index(1) + 1
     rep = _simple_rep(arrows, n, j)
     for k, arrows_before in reversed(steps):
         rep = _reflect_source_minus(rep, k)
-        assert rep.arrows == tuple(arrows_before)
-    assert tuple(rep.dims[i] for i in quiver.vertices) == tuple(root)
+        if rep.arrows != tuple(arrows_before):
+            raise ReflectionWalkError(f"unwinding {root} rebuilt the wrong arrows")
+    if tuple(rep.dims[i] for i in quiver.vertices) != tuple(root):
+        raise ReflectionWalkError(f"unwinding {root} gave dims {rep.dims}")
     return rep
 
 
@@ -238,8 +246,7 @@ class BruteForceOracle:
 
 def hom_dim_bruteforce(ar: ARQuiver, x: DerivedObject, y: DerivedObject) -> int:
     """Independent Hom oracle; agrees with ARQuiver.hom_dim on all inputs."""
-    oracle = getattr(ar, "_bruteforce_oracle", None)
+    oracle = ar.tables.get("oracle")
     if oracle is None:
-        oracle = BruteForceOracle(ar)
-        ar._bruteforce_oracle = oracle
+        oracle = ar.tables["oracle"] = BruteForceOracle(ar)
     return oracle.hom_dim(x, y)

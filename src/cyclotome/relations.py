@@ -496,11 +496,12 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
                 w[index.sigma(index.vertex_of_slot[index.ar.simple[i]])] = mult
         for v in enumerate_l_dominant(index, w):
             pool.append(VWPair(v, w))
+    residuals = [residual(index, m) for m in pool]
     failures = []
-    for m1 in pool:
-        for m2 in pool:
+    for m1, r1 in zip(pool, residuals):
+        for m2, r2 in zip(pool, residuals):
             lhs = script_n(index, m1, m2)
-            rhs = HalfInt(hl_extension(index, residual(index, m1), residual(index, m2)))
+            rhs = HalfInt(hl_extension(index, r1, r2))
             if lhs != rhs:
                 failures.append((m1, m2, lhs, rhs))
     rep.add(f"identity holds on all {len(pool)}^2 ordered pairs", failures, [])

@@ -131,6 +131,42 @@ class TestSubcommands:
         assert main(["enumerate", "--type", "A2", "--w", "Q9=1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--w", "=1"],
+            ["enumerate", "--w", "Sigma=1"],
+            ["enumerate", "--w", "S9=1"],
+            ["enumerate", "--w", "S=1"],
+            ["lift", "--wtilde", "sigma(P9)=1"],
+            ["lift", "--wtilde", "sigma()=1"],
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    def test_token_naming_nothing_exits_two(self, argv, capsys):
+        assert main([*argv, "--type", "A2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cyclotome: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "same-n", "--mass-cap", "-1"],
+            ["verify", "all", "--mass-cap", "0"],
+            ["serre-dims", "--maxdeg", "-3"],
+            ["serre-dims", "--maxdeg", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_cap_below_one_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--type", "A2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert "pass" not in captured.out
+
     def test_weight_outside_cone_exits_two(self, capsys):
         # sigma(P2) is not a W^S + W^SigmaS vertex
         assert main(["enumerate", "--type", "A2", "--w", "sigma(P2)=1"]) == 2

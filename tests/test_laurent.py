@@ -1,7 +1,8 @@
 """Exact Laurent scalars and formal sums.
 
 Core claims:
-    - HalfLaurent is a commutative ring; bar is an involutive automorphism
+    - HalfLaurent is a commutative ring; bar is an involutive automorphism;
+      only units +-t^k have negative powers
     - quantum integers are bar-invariant; [2]_t = t + t^-1
     - FormalSum addition/scaling behave and drop zero coefficients
     - HalfInt and HalfLaurent compare equal only to exact values, and equal
@@ -60,6 +61,17 @@ class TestHalfLaurent:
     def test_quantum_factorial(self):
         assert quantum_factorial(3) == quantum_int(1) * quantum_int(2) * quantum_int(3)
 
+    def test_negative_powers_of_units(self):
+        assert T ** -1 == T_INV
+        assert T_HALF ** -3 == HalfLaurent({-3: 1})
+        assert (-T) ** -2 == T_INV * T_INV
+        assert T ** 0 == 1
+
+    def test_negative_power_of_a_non_unit_raises(self):
+        for bad in (T + 1, 2 * T, HalfLaurent.zero()):
+            with pytest.raises(ValueError):
+                bad ** -1
+
     def test_zero_coefficients_dropped(self):
         assert (T - T).is_zero()
         assert HalfLaurent({2: 0, 0: 5}).terms == {0: 5}
@@ -115,6 +127,11 @@ class TestEqualityAndHashing:
                 HalfInt.of(bad)
         assert HalfInt.of(HalfInt(3)) == HalfInt(3)
         assert repr(HalfInt.of(-2)) == "-2"
+
+    def test_ordering_works_reflected(self):
+        assert 1 <= HalfInt(2) and HalfInt(2) >= 1
+        assert 2 > HalfInt(3) and HalfInt(3) > 1
+        assert not (HalfInt(1) >= 1) and not (1 > HalfInt(2))
 
     def test_ordering_rejects_foreign_types(self):
         assert HalfInt(1) < 1 and HalfInt(2) <= 1

@@ -5,6 +5,8 @@ Core claims:
       bottom of the graph: they import nothing from the package
     - no module under src/ or tests/ imports a _private name from another
       package module
+    - no assert statement guards an invariant under src/: python -O would
+      strip it, so invariants raise named errors
 """
 
 import ast
@@ -45,3 +47,10 @@ def test_no_private_names_cross_modules(path):
         if name is not None and name.startswith("_") and not name.startswith("__")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements_in_src(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

@@ -3,7 +3,10 @@
 Core claims:
     - load_quiver classifies ADE trees and rejects cycles / multi-edges / non-ADE
     - the Coxeter number table matches the order of the Coxeter transformation
-    - euler_form is Z-bilinear, cartan_entry symmetric
+    - euler_form is Z-bilinear, cartan_entry symmetric, and reads dicts and
+      tuples alike
+    - the neighbour table matches the arrows and leaves equality, hashing and
+      repr to the four declared fields
     - height functions obey the arrow rule on every arrow, any orientation
 """
 
@@ -122,11 +125,44 @@ class TestEulerForm:
         assert cartan_entry(q, 1, 2) == -1
         assert cartan_entry(q, 1, 3) == 0
 
+    def test_dict_inputs_match_tuples(self):
+        q = orient("E6", "alternating")
+        x, y = (1, 2, 0, 1, 3, 0), (0, 1, 1, 2, 0, 1)
+        dx = {i: c for i, c in zip(q.vertices, x) if c}
+        dy = {i: c for i, c in zip(q.vertices, y) if c}
+        assert 0 not in dx.values() and len(dx) < q.n
+        assert euler_form(q, dx, dy) == euler_form(q, x, y)
+        assert euler_form(q, dx, y) == euler_form(q, x, dy) == euler_form(q, x, y)
+        assert euler_form(q, {}, y) == 0
+
     def test_cartan_symmetric_all_orientations(self):
         for q in all_orientations("D4"):
             for i in q.vertices:
                 for j in q.vertices:
                     assert cartan_entry(q, i, j) == cartan_entry(q, j, i)
+
+
+class TestNeighbourTable:
+    def test_matches_arrows(self):
+        for q in all_orientations("D5"):
+            for i in q.vertices:
+                expected = sorted(
+                    j for j in q.vertices if (i, j) in q.arrows or (j, i) in q.arrows
+                )
+                assert list(q.neighbours[i]) == expected
+                for j in q.vertices:
+                    assert q.adjacent(i, j) == (j in expected)
+
+    def test_equality_hash_and_repr_ignore_it(self):
+        a = orient("E6", "alternating")
+        b = make_dynkin_quiver(a.n, list(a.arrows))
+        assert a == b and hash(a) == hash(b)
+        assert a != orient("E6", "linear")
+        assert repr(a) == (
+            f"DynkinQuiver(n={a.n}, arrows={a.arrows!r}, "
+            f"dynkin_type='E6', coxeter_number=12)"
+        )
+        assert hash(a) == hash((a.n, a.arrows, a.dynkin_type, a.coxeter_number))
 
 
 # == 4. heights ===================================================================
