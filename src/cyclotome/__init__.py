@@ -77,6 +77,7 @@ from .laurent import FormalSum, HalfInt, HalfLaurent, quantum_int, quantum_facto
 from .serre import DegreeTooLargeError, serre_quotient_dims
 from .relations import (
     Check,
+    SerreExpansionError,
     VerificationReport,
     chevalley_exponent_table,
     chevalley_generators,
@@ -98,7 +99,8 @@ __all__ = [
     "HalfLaurent", "IndexInvariantError", "LiftInvariantError",
     "MixedSignClassError", "NotADEError", "NotATreeError",
     "NotDominantError", "NotInWPlusError", "NotIndecomposableError",
-    "NotSimplyLacedError", "ReflectionWalkError", "UnsupportedWeightError", "VWPair",
+    "NotSimplyLacedError", "ReflectionWalkError", "SerreExpansionError",
+    "UnsupportedWeightError", "VWPair",
     "VerificationReport", "all_orientations", "build_index", "cartan_entry",
     "chevalley_exponent_table", "chevalley_generators", "cones", "d_form",
     "decompose", "deg_phi", "enumerate_l_dominant",

@@ -103,8 +103,8 @@ class ARQuiver:
         self.quiver = quiver
         self.h = quiver.coxeter_number
         # Per-quiver invariants, each filled on first use: the Euler pairing
-        # of two module slots under ("pairing", x, y), and the brute-force
-        # Hom oracle of reflections.py under "oracle".
+        # of two module slots under ("pairing", x, y) by euler_pairing, and
+        # the brute-force Hom oracle of reflections.py under "oracle".
         self.tables: dict = {}
         n = quiver.n
         e = euler_matrix(quiver)
@@ -250,17 +250,20 @@ class ARQuiver:
 
     # -- Hom dimensions --
 
+    def euler_pairing(self, m: Slot, n: Slot) -> int:
+        """<dim M, dim N>, the Euler form on the roots of two module slots."""
+        key = ("pairing", m, n)
+        pairing = self.tables.get(key)
+        if pairing is None:
+            pairing = self.tables[key] = euler_form(self.quiver, self.root_of[m], self.root_of[n])
+        return pairing
+
     def hom_dim(self, x: DerivedObject, y: DerivedObject) -> int:
         """dim Hom(x, y) by the directedness formula; exact for ADE."""
         gap = y.shift - x.shift
         if gap not in (0, 1):
             return 0
-        key = ("pairing", x.slot, y.slot)
-        pairing = self.tables.get(key)
-        if pairing is None:
-            pairing = self.tables[key] = euler_form(
-                self.quiver, self.root_of[x.slot], self.root_of[y.slot]
-            )
+        pairing = self.euler_pairing(x.slot, y.slot)
         if gap == 0:
             return max(pairing, 0)
         return max(-pairing, 0)

@@ -156,9 +156,7 @@ def hl_form(index: CycIndex, m: Slot, n: Slot) -> int:
         raise NotIndecomposableError("hl_form takes module slots")
     if m == n:
         return 0
-    q = index.quiver
-    rm, rn = index.ar.root_of[m], index.ar.root_of[n]
-    sym = euler_form(q, rm, rn) + euler_form(q, rn, rm)
+    sym = index.ar.euler_pairing(m, n) + index.ar.euler_pairing(n, m)
     return sym if window_height(index, m) <= window_height(index, n) else -sym
 
 

@@ -193,23 +193,18 @@ def standard_edges(dynkin_type: str) -> list[tuple[int, int]]:
     A_n is the chain 1-2-...-n.  D_n is the chain 1-...-(n-2) with both n-1
     and n attached to n-2.  E_n is the chain 1-...-(n-1) with n attached to 3.
     """
-    family, rank = dynkin_type[0].upper(), int(dynkin_type[1:])
-    if family == "A":
-        if rank < 1:
-            raise NotADEError(dynkin_type)
+    family, digits = dynkin_type[:1].upper(), dynkin_type[1:]
+    rank = int(digits) if digits.isdecimal() else 0
+    if family == "A" and rank >= 1:
         return [(k, k + 1) for k in range(1, rank)]
-    if family == "D":
-        if rank < 4:
-            raise NotADEError(dynkin_type)
+    if family == "D" and rank >= 4:
         return [(k, k + 1) for k in range(1, rank - 2)] + [
             (rank - 2, rank - 1),
             (rank - 2, rank),
         ]
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise NotADEError(dynkin_type)
+    if family == "E" and rank in (6, 7, 8):
         return [(k, k + 1) for k in range(1, rank - 1)] + [(3, rank)]
-    raise NotADEError(dynkin_type)
+    raise NotADEError(f"not an ADE type: {dynkin_type!r}")
 
 
 def orient(dynkin_type: str, orientation: str = "linear") -> DynkinQuiver:

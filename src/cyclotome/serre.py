@@ -2,17 +2,20 @@
 
 The free algebra on generators E_1..E_n is graded by multidegree; the degree
 slice of the two-sided ideal generated by the quantum Serre elements is a
-matrix over Z[t] (after clearing t-denominators row by row), whose rank over
-the fraction field is computed fraction-free in the Bareiss style.  The
+matrix over Z[t] (the generators' t-denominators are cleared once), whose rank
+over the fraction field is computed fraction-free in the Bareiss style.  The
 quotient's graded dimension must match the Kostant partition count in every
 degree; specializing t could drop rank, so nothing here ever leaves Z[t].
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, zip_longest
 
 from .quiver import DynkinQuiver, cartan_entry
+
+#: The largest total degree serre_quotient_dims accepts.
+MAX_DEGREE = 7
 
 
 class DegreeTooLargeError(ValueError):
@@ -28,15 +31,8 @@ def ptrim(p):
     return tuple(p)
 
 
-def padd(a, b):
-    n = max(len(a), len(b))
-    return ptrim(
-        tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-    )
-
-
-def pneg(a):
-    return tuple(-x for x in a)
+def psub(a, b):
+    return ptrim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def pmul(a, b):
@@ -93,7 +89,7 @@ def bareiss_rank(rows) -> int:
             # is a minor identity on the whole submatrix, not per nonzero row.
             arc = m[r][col]
             for c in range(col + 1, n_cols):
-                num = padd(pmul(pv, m[r][c]), pneg(pmul(arc, m[rank][c])))
+                num = psub(pmul(pv, m[r][c]), pmul(arc, m[rank][c]))
                 m[r][c] = pdivexact(num, prev)
             m[r][col] = ()
         prev = pv
@@ -106,27 +102,21 @@ def bareiss_rank(rows) -> int:
 # -- the quantum Serre ideal slice --------------------------------------------------
 
 def serre_generators(quiver: DynkinQuiver):
-    """The q-Serre elements with denominators cleared, as {word: Laurent dict}.
+    """The q-Serre elements with denominators cleared, as {word: Z[t] tuple}.
 
-    Non-adjacent i, j: E_i E_j - E_j E_i.  Adjacent: E_i^2 E_j - [2] E_i E_j E_i
-    + E_j E_i^2 (the divided-power form scaled by [2]_t).
+    Non-adjacent i, j: E_i E_j - E_j E_i.  Adjacent: t (E_i^2 E_j - [2]_t
+    E_i E_j E_i + E_j E_i^2), the divided-power form scaled by t [2]_t, so the
+    middle coefficient -(t + t^-1) becomes -(1 + t^2).
     """
     gens = []
     for i in quiver.vertices:
         for j in quiver.vertices:
             if i == j:
                 continue
-            a = cartan_entry(quiver, i, j)
-            if a == 0:
-                gens.append({(i, j): {0: 1}, (j, i): {0: -1}})
+            if cartan_entry(quiver, i, j) == 0:
+                gens.append({(i, j): (1,), (j, i): (-1,)})
             else:
-                gens.append(
-                    {
-                        (i, i, j): {0: 1},
-                        (i, j, i): {1: -1, -1: -1},  # -[2]_t = -(t + t^-1)
-                        (j, i, i): {0: 1},
-                    }
-                )
+                gens.append({(i, i, j): (0, 1), (i, j, i): (-1, 0, -1), (j, i, i): (0, 1)})
     return gens
 
 
@@ -166,15 +156,13 @@ def _multidegrees(n, total):
             yield (first,) + rest
 
 
-def serre_quotient_dims(
-    quiver: DynkinQuiver, maxdeg: int, hard_cap: int = 7
-) -> dict[tuple[int, ...], int]:
+def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ...], int]:
     """Graded dimension of the free algebra mod the q-Serre ideal, per multidegree.
 
     Returns {beta: dim} for every multidegree with 1 <= |beta| <= maxdeg.
     """
-    if maxdeg > hard_cap:
-        raise DegreeTooLargeError(f"total degree {maxdeg} exceeds cap {hard_cap}")
+    if maxdeg > MAX_DEGREE:
+        raise DegreeTooLargeError(f"total degree {maxdeg} exceeds cap {MAX_DEGREE}")
     n = quiver.n
     gens = serre_generators(quiver)
     out: dict[tuple[int, ...], int] = {}
@@ -185,6 +173,11 @@ def serre_quotient_dims(
 
 
 def _slice_dim(quiver: DynkinQuiver, gens, beta) -> int:
+    """dim of the degree-beta slice: words minus the rank of u * gen * w rows.
+
+    Within one row the words u + mid + w are distinct, so each row holds its
+    generator's 2 or 3 coefficients and is never zero.
+    """
     n = quiver.n
     basis = sorted(_words(beta))
     col = {w: k for k, w in enumerate(basis)}
@@ -198,27 +191,8 @@ def _slice_dim(quiver: DynkinQuiver, gens, beta) -> int:
             right_deg = tuple(r - l for r, l in zip(rest, left_deg))
             for u in _words(left_deg):
                 for w in _words(right_deg):
-                    laurent_row: dict[tuple, dict[int, int]] = {}
-                    for mid, coeff in gen.items():
-                        word = u + mid + w
-                        acc = laurent_row.setdefault(word, {})
-                        for e, c in coeff.items():
-                            acc[e] = acc.get(e, 0) + c
-                    rows.append(_laurent_row_to_poly(laurent_row, col, len(basis)))
-    rank = bareiss_rank([r for r in rows if any(r)])
-    return len(basis) - rank
-
-
-def _laurent_row_to_poly(laurent_row, col, width):
-    exps = [e for coeffs in laurent_row.values() for e, c in coeffs.items() if c]
-    shift = -min(exps) if exps and min(exps) < 0 else 0
-    row = [()] * width
-    for word, coeffs in laurent_row.items():
-        nonzero = {e: c for e, c in coeffs.items() if c}
-        if not nonzero:
-            continue
-        vec = [0] * (max(nonzero) + shift + 1)
-        for e, c in nonzero.items():
-            vec[e + shift] = c
-        row[col[word]] = ptrim(vec)
-    return row
+                    row = [()] * len(basis)
+                    for mid, poly in gen.items():
+                        row[col[u + mid + w]] = poly
+                    rows.append(row)
+    return len(basis) - bareiss_rank(rows)

@@ -1,0 +1,28 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+Core claims:
+    - installed() from bench/tracer.py resolves each of its targets in the
+      package, so renaming or deleting a traced function (serre.pmul, say)
+      fails here and not only in a traced benchmark run
+    - leaving the block puts the original functions back
+"""
+
+import importlib.util
+from pathlib import Path
+
+from cyclotome import orient, serre
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def test_tracer_installs_and_restores():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = (serre.pmul, serre.bareiss_rank)
+    with tracer.installed(tracer.Recorder()) as rec:
+        assert serre.pmul is not originals[0]
+        serre.serre_quotient_dims(orient("A2", "linear"), 4)
+    assert (serre.pmul, serre.bareiss_rank) == originals
+    assert tracer.per_name(rec)[0]["serre.bareiss_rank"] == 14
+    assert rec.counts["serre.pmul.calls"] > 0

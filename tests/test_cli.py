@@ -5,9 +5,11 @@ Core claims:
     - JSON output carries the schema version and passes
     - identical invocations produce byte-identical output
     - the documented literal grammar (numeric and named tokens) round-trips
+    - malformed input exits 2 with a message, never a traceback (seeded fuzz)
 """
 
 import json
+import random
 
 import pytest
 
@@ -167,6 +169,11 @@ class TestSubcommands:
         assert "must be at least 1" in captured.err
         assert "pass" not in captured.out
 
+    @pytest.mark.parametrize("dynkin_type", ["", "A", "Z3"])
+    def test_bad_type_exits_two(self, dynkin_type, capsys):
+        assert main(["describe", "--type", dynkin_type]) == 2
+        assert capsys.readouterr().err.startswith("cyclotome: error:")
+
     def test_weight_outside_cone_exits_two(self, capsys):
         # sigma(P2) is not a W^S + W^SigmaS vertex
         assert main(["enumerate", "--type", "A2", "--w", "sigma(P2)=1"]) == 2
@@ -202,3 +209,45 @@ class TestLiterals:
     def test_empty_vector(self):
         idx = build_index(orient("A2", "linear"))
         assert parse_sparse(idx, "0") == {}
+
+
+# == 4. fuzzed literals ================================================================
+
+def random_token(rng):
+    """A token that is often, but not always, well formed."""
+    if rng.random() < 0.25:
+        key = f"{rng.randint(-2, 9)}:{rng.randint(-7, 20)}"
+    else:
+        key = rng.choice(["S", "P", "I", "SigmaS", "SigmaP", "SigmaI", "Sigma", "Q", ""])
+        key += rng.choice(["1", "2", "3", "9", "0", "", "x", "-1"])
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            key = f"sigma({key})"
+    return key + rng.choice(["", "=1", "=2", "=0", "=-1", "=x", "=", "==1"])
+
+
+def random_literal(rng):
+    pieces = [random_token(rng) for _ in range(rng.randint(0, 3))]
+    return ",".join(pieces) if pieces else rng.choice(["", "0", ",", " ", ":"])
+
+
+def random_argv(rng):
+    argv = [rng.choice(["enumerate", "lift", "forms"]), "--type", rng.choice(["A2", "A3"])]
+    if argv[0] == "enumerate":
+        return [*argv, f"--w={random_literal(rng)}"]
+    if argv[0] == "lift":
+        return [*argv, f"--wtilde={random_literal(rng)}"]
+    return [*argv, *(f"--pair=v={random_literal(rng)};w={random_literal(rng)}" for _ in range(2))]
+
+
+def test_fuzzed_literals_exit_zero_or_two(capsys):
+    rng = random.Random(2013)
+    codes = {0: 0, 2: 0}
+    for _ in range(300):
+        argv = random_argv(rng)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in codes, argv
+        assert code == 0 or err.startswith("cyclotome: error:"), argv
+        codes[code] += 1
+    # both outcomes occur, so the fuzz reaches the commands' bodies
+    assert min(codes.values()) > 0

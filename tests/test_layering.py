@@ -7,6 +7,7 @@ Core claims:
       package module
     - no assert statement guards an invariant under src/: python -O would
       strip it, so invariants raise named errors
+    - nor does a bare `raise AssertionError`: it names no invariant
 """
 
 import ast
@@ -53,4 +54,16 @@ def test_no_private_names_cross_modules(path):
 def test_no_assert_statements_in_src(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_raise_assertion_error_in_src(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
     assert lines == []

@@ -2,10 +2,14 @@
 
 Core claims:
     - polynomial helpers and Bareiss rank are exact
+    - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
+    - the Serre elements arrive as dense Z[t] tuples, denominators cleared
     - the quotient's graded dimension equals the Kostant count degree by degree
     - the answer is orientation-independent
     - the degree cap raises instead of silently truncating
 """
+
+import random
 
 import pytest
 
@@ -17,7 +21,8 @@ from cyclotome import (
     orient,
     serre_quotient_dims,
 )
-from cyclotome.serre import bareiss_rank, pdivexact, pmul, padd, pneg
+from cyclotome.reflections import matrix_rank
+from cyclotome.serre import bareiss_rank, pdivexact, pmul, psub, serre_generators
 
 
 class TestPolynomials:
@@ -30,8 +35,10 @@ class TestPolynomials:
         with pytest.raises(ArithmeticError):
             pdivexact((1, 1), (2,))
 
-    def test_padd_cancels(self):
-        assert padd((1, 2), pneg((1, 2))) == ()
+    def test_psub_cancels(self):
+        assert psub((1, 2), (1, 2)) == ()
+        assert psub((1, 2, 3), (0, 0, 3)) == (1, 2)
+        assert psub((1,), (0, 0, 2)) == (1, 0, -2)
 
 
 class TestBareissRank:
@@ -55,7 +62,35 @@ class TestBareissRank:
         assert bareiss_rank(m) == 1
 
 
+class TestRankKernelsAgree:
+    """Bareiss on constant polynomials is the rank over Q, which the Fraction
+    RREF of reflections.py computes on its own."""
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(1312)
+        for _ in range(300):
+            n_cols = rng.randint(1, 6)
+            rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(0, 3)):  # dependent rows, some of them zero
+                a, b = rng.choice(rows), rng.choice(rows)
+                x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append([x * p + y * q for p, q in zip(a, b)])
+            zero_col = rng.randrange(n_cols)
+            for row in rows:
+                row[zero_col] = 0
+            rng.shuffle(rows)
+            # zeros as () or as the untrimmed (0,)
+            polys = [[(x,) if x or rng.random() < 0.5 else () for x in row] for row in rows]
+            assert bareiss_rank(polys) == matrix_rank(rows), rows
+
+
 class TestQuotientDims:
+    def test_generators_are_dense_z_t_tuples(self):
+        gens = serre_generators(orient("A3", "linear"))
+        assert len(gens) == 6
+        assert {(1, 3): (1,), (3, 1): (-1,)} in gens
+        assert {(1, 1, 2): (0, 1), (1, 2, 1): (-1, 0, -1), (2, 1, 1): (0, 1)} in gens
+
     def test_simple_degrees_are_one(self):
         q = orient("A2", "linear")
         dims = serre_quotient_dims(q, 1)

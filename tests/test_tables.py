@@ -7,11 +7,15 @@ Core claims:
       queries: an index queried in order and a fresh index queried in reverse
       order agree on v_f, v_sigma_f, cones, iota of every module and hom_dim on
       every module pair at gaps 0 and 1
+    - the stored Euler pairing that hom_dim, hl_form and verify_same_form
+      read is the Euler form of the two modules' roots
 """
 
 import pytest
 
-from cyclotome import build_index, cones, iota, orient, some_orientations, v_f, v_sigma_f
+from cyclotome import (
+    build_index, cones, euler_form, iota, knit, orient, some_orientations, v_f, v_sigma_f,
+)
 from cyclotome.derived import DerivedObject
 
 TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"]
@@ -60,3 +64,12 @@ def test_query_order_does_not_matter(dynkin_type):
         forward = {query: _answer(first, query) for query in queries}
         backward = {query: _answer(second, query) for query in reversed(queries)}
         assert forward == backward
+
+
+@pytest.mark.parametrize("dynkin_type", ["A3", "D4", "E6"])
+def test_euler_pairing_is_the_euler_form_of_the_roots(dynkin_type):
+    ar = knit(orient(dynkin_type, "alternating"))
+    for m in ar.modules:
+        for n in ar.modules:
+            expected = euler_form(ar.quiver, ar.root_of[m], ar.root_of[n])
+            assert ar.euler_pairing(m, n) == expected
