@@ -51,11 +51,16 @@ SCHEMA_VERSION = 1
 
 
 def _build_index(args) -> CycIndex:
-    if args.orientation.startswith("file:"):
-        with open(args.orientation[5:], encoding="utf-8") as fh:
-            quiver = load_quiver(fh.read())
-    else:
-        quiver = orient(args.type, args.orientation)
+    if not args.orientation.startswith("file:"):
+        return build_index(orient("A2" if args.type is None else args.type, args.orientation))
+    path = args.orientation[5:]
+    with open(path, encoding="utf-8") as fh:
+        quiver = load_quiver(fh.read())
+    # orient() normalises the name the way the built-in trees do, so a3 is A3
+    if args.type is not None and orient(args.type).dynkin_type != quiver.dynkin_type:
+        raise ValueError(
+            f"--type {args.type} does not match the {quiver.dynkin_type} quiver in {path}"
+        )
     return build_index(quiver)
 
 
@@ -353,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--type", default="A2", help="Dynkin type, e.g. A3, D4, E6")
+        p.add_argument(
+            "--type",
+            help="Dynkin type, e.g. A3, D4, E6 (default A2; with file: the file's type)",
+        )
         p.add_argument(
             "--orientation",
             default="linear",

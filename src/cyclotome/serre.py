@@ -3,9 +3,11 @@
 The free algebra on generators E_1..E_n is graded by multidegree; the degree
 slice of the two-sided ideal generated by the quantum Serre elements is a
 matrix over Z[t] (the generators' t-denominators are cleared once), whose rank
-over the fraction field is computed fraction-free in the Bareiss style.  The
-quotient's graded dimension must match the Kostant partition count in every
-degree; specializing t could drop rank, so nothing here ever leaves Z[t].
+over the fraction field is computed by a sparse, lazily scaled form of
+Bareiss's fraction-free elimination: these matrices are mostly zero, and only
+rows nonzero in a pivot column are touched.  The quotient's graded
+dimension must match the Kostant partition count in every degree;
+specializing t could drop rank, so nothing here ever leaves Z[t].
 """
 
 from __future__ import annotations
@@ -71,32 +73,64 @@ def pdivexact(a, b):
 
 
 def bareiss_rank(rows) -> int:
-    """Rank over Q(t) of a matrix with Z[t] entries, fraction-free."""
-    m = [list(map(ptrim, row)) for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    prev = (1,)
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot is None:
+    """Rank over Q(t) of a matrix with Z[t] entries, by sparse fraction-free elimination.
+
+    ``rows`` is a dense list of rows of Z[t] tuples; a zero may be ``()`` or
+    untrimmed.  This is Bareiss's elimination (E. H. Bareiss, *Sylvester's
+    identity and multistep integer-preserving Gaussian elimination*, Math.
+    Comp. 22 (1968)) on rows kept as ``{col: poly}``.  A row written at step k
+    holds (k+1)-minors of the input and p_k, the k-th pivot (p_0 = 1), is a
+    k-minor, so each division below is exact and checked by ``pdivexact``.
+
+    Columns are taken in order; the pivot is the candidate row with the fewest
+    nonzeros, and only rows nonzero in the pivot column are updated.  Dense
+    Bareiss would scale every other row by p_k / p_(k-1) at step k; those
+    factors telescope, so a row last written at step s is left as it is and
+    its next update divides once by p_s:
+
+        r[c] <- (p_(k+1) r[c] - r[col] prow[c]) / p_s.
+
+    A pivot row last written at step s < k is first brought to step k by
+    multiplying with p_k / p_s.
+    """
+    live, step, by_col = {}, {}, {}
+    for i, row in enumerate(rows):
+        r = {c: p for c, x in enumerate(row) if (p := ptrim(x))}
+        if r:
+            live[i], step[i] = r, 0
+            for c in r:
+                by_col.setdefault(c, set()).add(i)
+    pivots = [(1,)]
+    for col in sorted(by_col):
+        if not by_col[col]:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            # The update must run even when m[r][col] = 0: Bareiss divisibility
-            # is a minor identity on the whole submatrix, not per nonzero row.
-            arc = m[r][col]
-            for c in range(col + 1, n_cols):
-                num = psub(pmul(pv, m[r][c]), pmul(arc, m[rank][c]))
-                m[r][c] = pdivexact(num, prev)
-            m[r][col] = ()
-        prev = pv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        i = min(by_col[col], key=lambda j: (len(live[j]), j))
+        prow = live.pop(i)
+        for c in prow:
+            by_col[c].discard(i)
+        k = len(pivots) - 1
+        if step[i] < k:
+            scale, ps = pivots[k], pivots[step[i]]
+            prow = {c: pdivexact(pmul(x, scale), ps) for c, x in prow.items()}
+        pv = prow.pop(col)
+        for j in sorted(by_col[col]):
+            r = live[j]
+            arc = r.pop(col)
+            ps = pivots[step[j]]
+            new = {}
+            for c in r.keys() | prow.keys():
+                num = psub(
+                    pmul(pv, r[c]) if c in r else (), pmul(arc, prow[c]) if c in prow else ()
+                )
+                if num:
+                    new[c] = pdivexact(num, ps)
+            for c in r.keys() - new.keys():
+                by_col[c].discard(j)
+            for c in new.keys() - r.keys():
+                by_col[c].add(j)
+            live[j], step[j] = new, k + 1
+        pivots.append(pv)
+    return len(pivots) - 1
 
 
 # -- the quantum Serre ideal slice --------------------------------------------------

@@ -26,3 +26,6 @@ def test_tracer_installs_and_restores():
     assert (serre.pmul, serre.bareiss_rank) == originals
     assert tracer.per_name(rec)[0]["serre.bareiss_rank"] == 14
     assert rec.counts["serre.pmul.calls"] > 0
+    # the bench counts cells and nonzeros from the dense rows bareiss_rank takes
+    assert rec.counts["serre.bareiss_rank.cells"] == 46
+    assert rec.counts["serre.bareiss_rank.nonzero"] == 30

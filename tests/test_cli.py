@@ -174,6 +174,15 @@ class TestSubcommands:
         assert main(["describe", "--type", dynkin_type]) == 2
         assert capsys.readouterr().err.startswith("cyclotome: error:")
 
+    @pytest.mark.parametrize("dynkin_type,code", [("D4", 2), ("Z3", 2), ("A3", 0), ("a3", 0)])
+    def test_type_must_name_the_quiver_file(self, dynkin_type, code, tmp_path, capsys):
+        spec = tmp_path / "quiver.txt"
+        spec.write_text("vertices: 3\narrow: 3 2\narrow: 2 1\n")
+        argv = ["describe", "--type", dynkin_type, "--orientation", f"file:{spec}"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("cyclotome: error:") if code else err == ""
+
     def test_weight_outside_cone_exits_two(self, capsys):
         # sigma(P2) is not a W^S + W^SigmaS vertex
         assert main(["enumerate", "--type", "A2", "--w", "sigma(P2)=1"]) == 2

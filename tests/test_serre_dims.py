@@ -3,6 +3,10 @@
 Core claims:
     - polynomial helpers and Bareiss rank are exact
     - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
+    - on Z[t] matrices Bareiss gives the rank over Q(t), which enough integer
+      specialisations of t and that RREF find on their own
+    - on Z[t] matrices Bareiss gives the rank over Q(t), which enough integer
+      specialisations of t and that RREF find on their own
     - the Serre elements arrive as dense Z[t] tuples, denominators cleared
     - the quotient's graded dimension equals the Kostant count degree by degree
     - the answer is orientation-independent
@@ -22,7 +26,7 @@ from cyclotome import (
     serre_quotient_dims,
 )
 from cyclotome.reflections import matrix_rank
-from cyclotome.serre import bareiss_rank, pdivexact, pmul, psub, serre_generators
+from cyclotome.serre import bareiss_rank, pdivexact, pmul, psub, ptrim, serre_generators
 
 
 class TestPolynomials:
@@ -84,6 +88,51 @@ class TestRankKernelsAgree:
             assert bareiss_rank(polys) == matrix_rank(rows), rows
 
 
+class TestRankOverQt:
+    """A nonzero r x r minor of a matrix whose entries have degree at most d is
+    a polynomial of degree at most D = rows * d, so it has at most D roots.
+    Over D + 1 distinct integer values of t the largest rank of the
+    specialised matrix is therefore the rank over Q(t); the Fraction RREF of
+    reflections.py computes each of those ranks without any Z[t] code."""
+
+    @staticmethod
+    def rank_by_specialising(rows):
+        degree = max((len(p) - 1 for row in rows for p in map(ptrim, row)), default=0)
+        return max(
+            matrix_rank([[sum(c * x**k for k, c in enumerate(p)) for p in row] for row in rows])
+            for x in range(len(rows) * degree + 1)
+        )
+
+    def test_random_polynomial_matrices(self):
+        rng = random.Random(2207)
+
+        def nonzero():
+            p = ()
+            while not p:
+                p = ptrim(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+            return p
+
+        def entry():  # zeros as () or as the untrimmed (0,)
+            return nonzero() if rng.random() < 0.5 else rng.choice([(), (0,)])
+
+        for _ in range(200):
+            n_cols = rng.randint(2, 6)
+            rows = [[entry() for _ in range(n_cols)] for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(0, 2)):  # Z[t]-combinations of other rows
+                a, b, x, y = rng.choice(rows), rng.choice(rows), entry(), entry()
+                rows.append([psub(pmul(x, ptrim(p)), pmul(y, ptrim(q))) for p, q in zip(a, b)])
+            rows.append([()] * len(rows[0]))
+            zero_col = rng.randrange(n_cols)
+            for row in rows:
+                row.insert(zero_col, rng.choice([(), (0,)]))
+            rng.shuffle(rows)
+            # Nonzero only in the last two columns, and first among rows with
+            # as few nonzeros: it stays untouched while the earlier columns
+            # pivot, then pivots itself and must first be brought up to date.
+            rows.insert(0, [()] * (n_cols - 1) + [nonzero(), nonzero()])
+            assert bareiss_rank(rows) == self.rank_by_specialising(rows), rows
+
+
 class TestQuotientDims:
     def test_generators_are_dense_z_t_tuples(self):
         gens = serre_generators(orient("A3", "linear"))
@@ -104,7 +153,9 @@ class TestQuotientDims:
         assert dims[(2, 1)] == 2
         assert dims[(2, 0)] == 1
 
-    @pytest.mark.parametrize("t,maxdeg", [("A2", 4), ("A3", 3), ("D4", 3)])
+    @pytest.mark.parametrize(
+        "t,maxdeg", [("A2", 4), ("A3", 3), ("D4", 3), ("A3", 6), ("D4", 5), ("E6", 4)]
+    )
     def test_matches_kostant(self, t, maxdeg):
         q = orient(t, "linear")
         idx = build_index(q)
