@@ -5,8 +5,6 @@ Core claims:
     - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
     - on Z[t] matrices Bareiss gives the rank over Q(t), which enough integer
       specialisations of t and that RREF find on their own
-    - on Z[t] matrices Bareiss gives the rank over Q(t), which enough integer
-      specialisations of t and that RREF find on their own
     - the Serre elements arrive as dense Z[t] tuples, denominators cleared
     - the quotient's graded dimension equals the Kostant count degree by degree
     - the answer is orientation-independent
