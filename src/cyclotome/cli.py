@@ -5,13 +5,14 @@ Sparse-vector literals accept both numeric tokens ``i:a=m`` (vertex, height
 residue, multiplicity) and named tokens such as ``sigma(P2)=1`` or ``S1=2``;
 see --help.  Identical inputs produce byte-identical output: every collection
 is emitted in canonical sorted order.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure or a closed output pipe, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cyclic import CycIndex, build_index, rep_space_dot
@@ -426,7 +427,14 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "forms" and len(args.pair) != 2:
         parser.error("forms needs exactly two --pair literals")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`cyclotome ... | head`): point stdout at
+        # devnull so the flush at exit cannot raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         # malformed literals, bad quiver files, weights outside the supported
         # cones: usage errors, matching argparse's exit convention

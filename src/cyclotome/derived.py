@@ -13,10 +13,9 @@ lives in reflections.py.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
-from .quiver import DynkinQuiver, euler_matrix, euler_form
+from .quiver import DynkinQuiver, ValueTuple, euler_matrix, euler_form
 
 
 class MixedSignClassError(RuntimeError):
@@ -26,12 +25,10 @@ class MixedSignClassError(RuntimeError):
 Slot = tuple[int, int]  # (vertex i, tau-exponent d): the object tau^{-d} P_i
 
 
-@dataclass(frozen=True, order=True)
-class DerivedObject:
+class DerivedObject(ValueTuple, namedtuple("DerivedObject", "slot shift", defaults=(0,))):
     """Sigma^shift applied to the module sitting at a (module) window slot."""
 
-    slot: Slot
-    shift: int = 0
+    __slots__ = ()
 
 
 # -- integer matrix helpers (exact, plain tuples) ------------------------------
@@ -103,8 +100,9 @@ class ARQuiver:
         self.quiver = quiver
         self.h = quiver.coxeter_number
         # Per-quiver invariants, each filled on first use: the Euler pairing
-        # of two module slots under ("pairing", x, y) by euler_pairing, and
-        # the brute-force Hom oracle of reflections.py under "oracle".
+        # of two module slots under ("pairing", x, y) by euler_pairing, the
+        # brute-force Hom oracle of reflections.py under "oracle", and the
+        # Kostant counts of dominance.kostant_partitions under "kostant".
         self.tables: dict = {}
         n = quiver.n
         e = euler_matrix(quiver)

@@ -12,12 +12,12 @@ and can be cross-checked against a capped brute-force search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
 from itertools import product
 
 from .cyclic import CycIndex, Vertex
 from .derived import DerivedObject, Slot
+from .quiver import ValueTuple
 from .vectors import add, canon, canonical_order, scale, sub
 
 
@@ -96,16 +96,11 @@ def format_vector(index: CycIndex, vec: dict[Vertex, int]) -> str:
 ZERO_PAIR = VWPair({}, {})
 
 
-@dataclass(frozen=True)
-class Cones:
-    """Basis vertices of the W/V cones and the generators of the Cartan blocks."""
+class Cones(ValueTuple, namedtuple("Cones", "w_plus v_plus w_s w_minus v_minus w_sigma_s")):
+    """Basis vertices of the W/V cones and the generators of the Cartan blocks,
+    each a frozenset of vertices."""
 
-    w_plus: frozenset[Vertex]
-    v_plus: frozenset[Vertex]
-    w_s: frozenset[Vertex]
-    w_minus: frozenset[Vertex]
-    v_minus: frozenset[Vertex]
-    w_sigma_s: frozenset[Vertex]
+    __slots__ = ()
 
 
 def cones(index: CycIndex) -> Cones:
@@ -327,22 +322,29 @@ def kostant_multisets(index_or_ar, beta: tuple[int, ...]):
 
 
 def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
-    """Number of multisets of positive roots summing to beta."""
+    """Number of multisets of positive roots summing to beta.
+
+    The counts are kept per quiver in ``ar.tables["kostant"]``, keyed by
+    (remaining, start), so every call on one quiver reuses the earlier ones."""
     if any(x < 0 for x in beta):
         raise ValueError("beta must be nonnegative")
-    roots = tuple(positive_roots(index_or_ar))
+    ar = getattr(index_or_ar, "ar", index_or_ar)
+    roots = positive_roots(ar)
+    memo = ar.tables.setdefault("kostant", {})
 
-    @lru_cache(maxsize=None)
     def count(remaining, start):
-        if all(x == 0 for x in remaining):
+        if not any(remaining):
             return 1
         if start == len(roots):
             return 0
-        total = count(remaining, start + 1)
-        r = roots[start]
-        if all(a >= b for a, b in zip(remaining, r)):
-            total += count(tuple(a - b for a, b in zip(remaining, r)), start)
-        return total
+        key = (remaining, start)
+        if key not in memo:
+            r = roots[start]
+            total = count(remaining, start + 1)
+            if all(a >= b for a, b in zip(remaining, r)):
+                total += count(tuple(a - b for a, b in zip(remaining, r)), start)
+            memo[key] = total
+        return memo[key]
 
     return count(tuple(beta), 0)
 

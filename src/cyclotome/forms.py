@@ -7,7 +7,7 @@ All values are exact integers or half-integers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cyclic import CycIndex, Vertex
 from .dominance import VWPair, residual
@@ -20,11 +20,8 @@ class NotIndecomposableError(ValueError):
     pass
 
 
-class GradedClass(NamedTuple):
-    """A K0-class split into a module part and a shifted part."""
-
-    module_part: tuple[int, ...]
-    shifted_part: tuple[int, ...]
+GradedClass = namedtuple("GradedClass", "module_part shifted_part")
+GradedClass.__doc__ = "A K0-class split into a module part and a shifted part."
 
 
 def phi(index: CycIndex, w: dict[Vertex, int]) -> GradedClass:

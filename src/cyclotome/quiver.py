@@ -9,7 +9,7 @@ arithmetic on plain tuples and dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import product
 
 
@@ -38,30 +38,42 @@ COXETER_NUMBER = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinQuiver:
+class ValueTuple(tuple):
+    """Base of the frozen namedtuple classes: an instance compares, orders and
+    hashes as the tuple of its fields, but equals only instances of its own
+    class, never a plain tuple, and refuses every assignment."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class DynkinQuiver(ValueTuple, namedtuple("DynkinQuiver", "n arrows dynkin_type coxeter_number")):
     """An oriented ADE tree with its detected type and Coxeter number.
 
     ``neighbours[i]`` lists the vertices joined to i, in increasing order; it
     is derived from the arrows and takes no part in equality, hashing or repr.
     """
 
-    n: int
-    arrows: tuple[tuple[int, int], ...]
-    dynkin_type: str
-    coxeter_number: int
-    neighbours: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        nbrs = {i: [] for i in range(1, self.n + 1)}
-        for s, t in self.arrows:
+    def __new__(cls, n: int, arrows: tuple[tuple[int, int], ...], dynkin_type: str,
+                coxeter_number: int):
+        self = super().__new__(cls, n, arrows, dynkin_type, coxeter_number)
+        nbrs = {i: [] for i in range(1, n + 1)}
+        for s, t in arrows:
             nbrs[s].append(t)
             nbrs[t].append(s)
         object.__setattr__(
             self, "neighbours", {i: tuple(sorted(js)) for i, js in nbrs.items()}
         )
+        return self
 
     @property
     def vertices(self) -> range:

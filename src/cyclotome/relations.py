@@ -10,8 +10,8 @@ identity they imply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from types import SimpleNamespace
 
 from .cyclic import CycIndex
 from .derived import DerivedObject
@@ -49,11 +49,9 @@ class SerreExpansionError(RuntimeError):
     tracks; signals an internal bug."""
 
 
-@dataclass
-class Check:
-    name: str
-    computed: object
-    expected: object
+class Check(SimpleNamespace):
+    def __init__(self, name: str, computed: object, expected: object):
+        super().__init__(name=name, computed=computed, expected=expected)
 
     @property
     def passed(self) -> bool:
@@ -68,13 +66,11 @@ class Check:
         }
 
 
-@dataclass
-class VerificationReport:
-    relation: str
-    dynkin_type: str
-    orientation: str
-    args: tuple
-    checks: list[Check] = field(default_factory=list)
+class VerificationReport(SimpleNamespace):
+    def __init__(self, relation: str, dynkin_type: str, orientation: str, args: tuple,
+                 checks: list[Check] | None = None):
+        super().__init__(relation=relation, dynkin_type=dynkin_type, orientation=orientation,
+                         args=args, checks=[] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

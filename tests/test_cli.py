@@ -6,10 +6,15 @@ Core claims:
     - identical invocations produce byte-identical output
     - the documented literal grammar (numeric and named tokens) round-trips
     - malformed input exits 2 with a message, never a traceback (seeded fuzz)
+    - a reader that closes the output pipe early gets exit 1 and nothing on stderr
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +196,27 @@ class TestSubcommands:
     def test_missing_quiver_file_exits_two(self, capsys):
         assert main(["describe", "--orientation", "file:/nonexistent.txt"]) == 2
         capsys.readouterr()
+
+    # With stdout buffered, the short output fails at the final flush and the
+    # long one (about 78 kB) while the command is still printing.
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--type", "A1"],
+        ["verify", "all", "--type", "A3", "--json"],
+    ], ids=["short", "long"])
+    def test_closed_output_pipe_exits_one_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "cyclotome.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (1, b"")
 
 
 # == 2. determinism ====================================================================

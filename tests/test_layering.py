@@ -8,9 +8,13 @@ Core claims:
     - no assert statement guards an invariant under src/: python -O would
       strip it, so invariants raise named errors
     - nor does a bare `raise AssertionError`: it names no invariant
+    - importing the command line loads neither dataclasses, typing nor inspect,
+      whose import costs more than the rest of the package
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,15 @@ def test_no_raise_assertion_error_in_src(path):
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 lines.append(node.lineno)
     assert lines == []
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cyclotome.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []

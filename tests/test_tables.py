@@ -5,8 +5,10 @@ Core claims:
       it was
     - the tables depend only on the quiver, never on the order of the
       queries: an index queried in order and a fresh index queried in reverse
-      order agree on v_f, v_sigma_f, cones, iota of every module and hom_dim on
-      every module pair at gaps 0 and 1
+      order agree on v_f, v_sigma_f, cones, iota of every module, hom_dim on
+      every module pair at gaps 0 and 1, and the Kostant count of every root
+      of height at most 3 and of its sum with its mirror in the sorted list of
+      those roots
     - the stored Euler pairing that hom_dim, hl_form and verify_same_form
       read is the Euler form of the two modules' roots
 """
@@ -14,7 +16,8 @@ Core claims:
 import pytest
 
 from cyclotome import (
-    build_index, cones, euler_form, iota, knit, orient, some_orientations, v_f, v_sigma_f,
+    build_index, cones, euler_form, iota, knit, kostant_partitions, orient, positive_roots,
+    some_orientations, v_f, v_sigma_f,
 )
 from cyclotome.derived import DerivedObject
 
@@ -32,19 +35,25 @@ def test_returned_vectors_are_copies(getter):
         assert getter(idx, i) == expected
 
 
-LOOKUPS = {"v_f": v_f, "v_sigma_f": v_sigma_f, "cones": cones, "iota": iota}
+LOOKUPS = {
+    "v_f": v_f, "v_sigma_f": v_sigma_f, "cones": cones, "iota": iota,
+    "kostant": kostant_partitions,
+}
 
 
 def _queries(idx):
     """Every table-backed value of an index, as (kind, *arguments) tuples."""
     verts = list(idx.quiver.vertices)
     modules = idx.ar.modules
+    low = [r for r in positive_roots(idx) if sum(r) <= 3]
+    betas = low + [tuple(map(sum, zip(r, s))) for r, s in zip(low, reversed(low))]
     return (
         [("v_f", i) for i in verts]
         + [("v_sigma_f", i) for i in verts]
         + [("cones",)]
         + [("iota", m) for m in modules]
         + [("hom", x, y, gap) for gap in (0, 1) for x in modules for y in modules]
+        + [("kostant", beta) for beta in betas]
     )
 
 
