@@ -13,9 +13,10 @@ lives in reflections.py.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
+from functools import total_ordering
 
-from .quiver import DynkinQuiver, ValueTuple, euler_matrix, euler_form
+from .quiver import DynkinQuiver, Frozen, euler_matrix, euler_form
 
 
 class MixedSignClassError(RuntimeError):
@@ -25,10 +26,21 @@ class MixedSignClassError(RuntimeError):
 Slot = tuple[int, int]  # (vertex i, tau-exponent d): the object tau^{-d} P_i
 
 
-class DerivedObject(ValueTuple, namedtuple("DerivedObject", "slot shift", defaults=(0,))):
-    """Sigma^shift applied to the module sitting at a (module) window slot."""
+@total_ordering
+class DerivedObject(Frozen):
+    """Sigma^shift applied to the module sitting at a (module) window slot;
+    ordered as the pair (slot, shift)."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("slot", "shift")
+
+    def __init__(self, slot: Slot, shift: int = 0):
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "shift", shift)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.slot, self.shift) < (other.slot, other.shift)
 
 
 # -- integer matrix helpers (exact, plain tuples) ------------------------------

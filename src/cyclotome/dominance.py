@@ -12,12 +12,11 @@ and can be cross-checked against a capped brute-force search.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import product
 
 from .cyclic import CycIndex, Vertex
 from .derived import DerivedObject, Slot
-from .quiver import ValueTuple
+from .quiver import Frozen
 from .vectors import add, canon, canonical_order, scale, sub
 
 
@@ -96,11 +95,14 @@ def format_vector(index: CycIndex, vec: dict[Vertex, int]) -> str:
 ZERO_PAIR = VWPair({}, {})
 
 
-class Cones(ValueTuple, namedtuple("Cones", "w_plus v_plus w_s w_minus v_minus w_sigma_s")):
+class Cones(Frozen):
     """Basis vertices of the W/V cones and the generators of the Cartan blocks,
     each a frozenset of vertices."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("w_plus", "v_plus", "w_s", "w_minus", "v_minus", "w_sigma_s")
+
+    def __init__(self, w_plus, v_plus, w_s, w_minus, v_minus, w_sigma_s):
+        super().__init__(w_plus, v_plus, w_s, w_minus, v_minus, w_sigma_s)
 
 
 def cones(index: CycIndex) -> Cones:

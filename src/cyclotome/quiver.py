@@ -9,7 +9,6 @@ arithmetic on plain tuples and dicts.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import product
 
 
@@ -38,34 +37,51 @@ COXETER_NUMBER = {
 }
 
 
-class ValueTuple(tuple):
-    """Base of the frozen namedtuple classes: an instance compares, orders and
-    hashes as the tuple of its fields, but equals only instances of its own
-    class, never a plain tuple, and refuses every assignment."""
+class Frozen:
+    """Base of the frozen value classes: a subclass names its fields in
+    ``_fields`` and keeps them in ``__slots__``; an instance prints, compares
+    and hashes as the tuple of its fields, equals only its own class, and
+    refuses every assignment after ``__init__``."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
-    def __ne__(self, other):
-        return not self == other
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class DynkinQuiver(ValueTuple, namedtuple("DynkinQuiver", "n arrows dynkin_type coxeter_number")):
+class DynkinQuiver(Frozen):
     """An oriented ADE tree with its detected type and Coxeter number.
 
     ``neighbours[i]`` lists the vertices joined to i, in increasing order; it
     is derived from the arrows and takes no part in equality, hashing or repr.
     """
 
-    def __new__(cls, n: int, arrows: tuple[tuple[int, int], ...], dynkin_type: str,
-                coxeter_number: int):
-        self = super().__new__(cls, n, arrows, dynkin_type, coxeter_number)
+    _fields = ("n", "arrows", "dynkin_type", "coxeter_number")
+    __slots__ = _fields + ("neighbours",)
+
+    def __init__(self, n: int, arrows: tuple[tuple[int, int], ...], dynkin_type: str,
+                 coxeter_number: int):
+        super().__init__(n, arrows, dynkin_type, coxeter_number)
         nbrs = {i: [] for i in range(1, n + 1)}
         for s, t in arrows:
             nbrs[s].append(t)
@@ -73,7 +89,6 @@ class DynkinQuiver(ValueTuple, namedtuple("DynkinQuiver", "n arrows dynkin_type 
         object.__setattr__(
             self, "neighbours", {i: tuple(sorted(js)) for i, js in nbrs.items()}
         )
-        return self
 
     @property
     def vertices(self) -> range:
