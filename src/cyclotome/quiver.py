@@ -68,6 +68,10 @@ class Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which may set the fields
+        return type(self), self._values()
+
 
 class DynkinQuiver(Frozen):
     """An oriented ADE tree with its detected type and Coxeter number.

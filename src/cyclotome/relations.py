@@ -53,6 +53,9 @@ class Check(SimpleNamespace):
     def __init__(self, name: str, computed: object, expected: object):
         super().__init__(name=name, computed=computed, expected=expected)
 
+    def __reduce__(self):
+        return type(self), (self.name, self.computed, self.expected)
+
     @property
     def passed(self) -> bool:
         return self.computed == self.expected
@@ -71,6 +74,10 @@ class VerificationReport(SimpleNamespace):
                  checks: list[Check] | None = None):
         super().__init__(relation=relation, dynkin_type=dynkin_type, orientation=orientation,
                          args=args, checks=[] if checks is None else checks)
+
+    def __reduce__(self):
+        return type(self), (self.relation, self.dynkin_type, self.orientation, self.args,
+                            self.checks)
 
     @property
     def passed(self) -> bool:

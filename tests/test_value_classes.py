@@ -10,7 +10,11 @@ Core claims:
     - Check and VerificationReport are mutable, compare field by field and are
       unhashable; every report starts with its own empty list of checks
     - each repr names the class and its fields as keywords
+    - copy, deepcopy and pickle give back an equal value
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -138,3 +142,22 @@ class TestVerificationReport:
         assert report.relation == "ef"
         with pytest.raises(TypeError):
             hash(report)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DerivedObject((2, 1), 1),
+    lambda: orient("D4", "alternating"),
+    lambda: cones(build_index(orient("A2", "linear"))),
+    lambda: GradedClass((1,), (0,)),
+    lambda: Check("k", 1, 1),
+    lambda: VerificationReport("ek", "A2", "1>2", (1,), [Check("k", 1, 1)]),
+], ids=["DerivedObject", "DynkinQuiver", "Cones", "GradedClass", "Check", "VerificationReport"])
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_equal(make, clone):
+    value = make()
+    twin = clone(value)
+    assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+    if hasattr(value, "neighbours"):
+        assert twin.neighbours == value.neighbours
