@@ -41,7 +41,8 @@ class Frozen:
     """Base of the frozen value classes: a subclass names its fields in
     ``_fields`` and keeps them in ``__slots__``; an instance prints, compares
     and hashes as the tuple of its fields, equals only its own class, and
-    refuses every assignment after ``__init__``."""
+    refuses every assignment after ``__init__``.  It stands in for a frozen
+    dataclass because importing ``dataclasses`` costs more than this package."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
