@@ -76,11 +76,13 @@ from .forms import (
 from .laurent import FormalSum, HalfInt, HalfLaurent, quantum_int, quantum_factorial
 from .serre import DegreeTooLargeError, serre_quotient_dims
 from .relations import (
+    RELATIONS,
     Check,
     SerreExpansionError,
     VerificationReport,
     chevalley_exponent_table,
     chevalley_generators,
+    verify,
     verify_all,
     verify_ef,
     verify_ek,
@@ -99,8 +101,8 @@ __all__ = [
     "HalfLaurent", "IndexInvariantError", "LiftInvariantError",
     "MixedSignClassError", "NotADEError", "NotATreeError",
     "NotDominantError", "NotInWPlusError", "NotIndecomposableError",
-    "NotSimplyLacedError", "ReflectionWalkError", "SerreExpansionError",
-    "UnsupportedWeightError", "VWPair",
+    "NotSimplyLacedError", "RELATIONS", "ReflectionWalkError",
+    "SerreExpansionError", "UnsupportedWeightError", "VWPair",
     "VerificationReport", "all_orientations", "build_index", "cartan_entry",
     "chevalley_exponent_table", "chevalley_generators", "cones", "d_form",
     "decompose", "deg_phi", "enumerate_l_dominant",
@@ -113,7 +115,7 @@ __all__ = [
     "rescale_exponent_kashiwara", "rescale_exponent_lusztig", "residual",
     "script_n", "serre_quotient_dims", "solve_w_tilde",
     "solve_w_tilde_bruteforce", "some_orientations", "twist_exponent",
-    "unit_vector", "v_f", "v_sigma_f", "validate_pair", "verify_all", "verify_ef", "verify_ek",
-    "verify_kk", "verify_same_form", "verify_same_n", "verify_serre", "w_f",
-    "window_height",
+    "unit_vector", "v_f", "v_sigma_f", "validate_pair", "verify", "verify_all",
+    "verify_ef", "verify_ek", "verify_kk", "verify_same_form", "verify_same_n",
+    "verify_serre", "w_f", "window_height",
 ]

@@ -35,17 +35,7 @@ from .forms import (
     twist_exponent,
 )
 from .quiver import load_quiver, orient
-from .relations import (
-    chevalley_exponent_table,
-    chevalley_generators,
-    verify_all,
-    verify_ef,
-    verify_ek,
-    verify_kk,
-    verify_same_form,
-    verify_same_n,
-    verify_serre,
-)
+from .relations import RELATIONS, chevalley_generators, verify, verify_all
 from .serre import serre_quotient_dims
 
 SCHEMA_VERSION = 1
@@ -268,28 +258,13 @@ def cmd_forms(args) -> int:
 
 def cmd_verify(args) -> int:
     index = _build_index(args)
-    verts = list(index.quiver.vertices)
-    reports = []
-    which = args.relation
-    if which == "all":
+    if args.relation == "all":
         reports = verify_all(index, mass_cap=args.mass_cap)
-    elif which in ("ek", "ef", "kk"):
-        fn = {"ek": verify_ek, "ef": verify_ef, "kk": verify_kk}[which]
-        for i in verts:
-            for j in verts:
-                reports.append(fn(index, i, j))
-    elif which == "serre":
-        for i in verts:
-            for j in verts:
-                if i != j:
-                    reports.append(verify_serre(index, i, j))
-    elif which == "same-form":
-        reports.append(verify_same_form(index))
-    elif which == "same-n":
-        reports.append(verify_same_n(index, args.mass_cap))
-    elif which == "exponent-table":
-        reports.append(chevalley_exponent_table(index))
-    reports.sort(key=lambda r: (r.relation, r.args))
+    else:
+        reports = verify(index, args.relation, args.mass_cap)
+        if not reports:
+            # a report list that checked nothing is no pass
+            raise ValueError(f"{args.relation} has no cases on {index.quiver.dynkin_type}")
     all_pass = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -406,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the relation suite")
     common(p)
-    p.add_argument(
-        "relation",
-        choices=["all", "ek", "ef", "kk", "serre", "same-form", "same-n", "exponent-table"],
-    )
+    p.add_argument("relation", choices=["all", *RELATIONS])
     p.add_argument("--markdown", action="store_true")
     p.add_argument("--mass-cap", type=_positive_int, default=3)
     p.set_defaults(fn=cmd_verify)

@@ -99,10 +99,6 @@ class CycIndex:
         """Unit v-vector at the vertex of a window slot."""
         return {self.vertex_of_slot[slot]: 1}
 
-    def e_sigma_slot(self, slot: Slot) -> dict[Vertex, int]:
-        """Unit w-vector at sigma(vertex of a window slot)."""
-        return {self.sigma(self.vertex_of_slot[slot]): 1}
-
     def assert_v_vector(self, v: dict[Vertex, int]) -> None:
         for key in v:
             if key not in self.sigma_i_hat:

@@ -221,17 +221,11 @@ class ARQuiver:
         return f"Σ^{obj.shift}{base}"
 
     def slot_name(self, slot: Slot) -> str:
-        root = self.root_of[slot]
-        for i in self.quiver.vertices:
-            if root == tuple(1 if j == i else 0 for j in self.quiver.vertices):
-                return f"S{i}"
-        for i, s in self.projective.items():
-            if s == slot:
-                return f"P{i}"
-        for i, s in self.injective.items():
-            if s == slot:
-                return f"I{i}"
-        return "M(" + ",".join(map(str, root)) + ")"
+        for prefix, slots in (("S", self.simple), ("P", self.projective), ("I", self.injective)):
+            for i, s in slots.items():
+                if s == slot:
+                    return f"{prefix}{i}"
+        return "M(" + ",".join(map(str, self.root_of[slot])) + ")"
 
     # -- functors --
 

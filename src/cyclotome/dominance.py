@@ -57,9 +57,6 @@ class VWPair:
             raise ValueError("VWPair entries must be nonnegative")
         self._key = (tuple(self.v.items()), tuple(self.w.items()))
 
-    def key(self):
-        return self._key
-
     def __eq__(self, other):
         return isinstance(other, VWPair) and self._key == other._key
 
@@ -71,9 +68,6 @@ class VWPair:
 
     def __add__(self, other: "VWPair") -> "VWPair":
         return VWPair(add(self.v, other.v), add(self.w, other.w))
-
-    def mass(self) -> int:
-        return sum(self.w.values())
 
     def __repr__(self):
         return f"VWPair(v={self.v}, w={self.w})"
@@ -105,6 +99,12 @@ class Cones(Frozen):
         super().__init__(w_plus, v_plus, w_s, w_minus, v_minus, w_sigma_s)
 
 
+def sigma_simples(index: CycIndex, i: int) -> tuple[Vertex, Vertex]:
+    """(sigma S_i, sigma Sigma S_i): the I-hat vertices of i in W^S and W^SigmaS."""
+    s = index.vertex_of_slot[index.ar.simple[i]]
+    return index.sigma(s), index.sigma(index.shift_vertex(s))
+
+
 def cones(index: CycIndex) -> Cones:
     """The cones of an index, computed on first use and stored on it."""
     co = index.tables.get("cones")
@@ -118,12 +118,8 @@ def cones(index: CycIndex) -> Cones:
     }
     w_plus = frozenset(index.sigma(v) for v in module_vertices)
     w_minus = frozenset(index.sigma(v) for v in shifted_vertices)
-    w_s = frozenset(
-        index.sigma(index.vertex_of_slot[ar.simple[i]]) for i in index.quiver.vertices
-    )
-    w_sigma_s = frozenset(
-        index.sigma(index.shift_vertex(index.vertex_of_slot[ar.simple[i]]))
-        for i in index.quiver.vertices
+    w_s, w_sigma_s = map(
+        frozenset, zip(*(sigma_simples(index, i) for i in index.quiver.vertices))
     )
     v_minus = frozenset(index.shift_vertex(v) for v in noninj)
     co = index.tables["cones"] = Cones(
@@ -136,11 +132,8 @@ def cones(index: CycIndex) -> Cones:
 
 def w_f(index: CycIndex, i: int) -> dict[Vertex, int]:
     """w^f_i = e_{sigma S_i} + e_{sigma Sigma S_i}."""
-    s = index.vertex_of_slot[index.ar.simple[i]]
-    return add(
-        {index.sigma(s): 1},
-        {index.sigma(index.shift_vertex(s)): 1},
-    )
+    s, ss = sigma_simples(index, i)
+    return add({s: 1}, {ss: 1})
 
 
 def v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
@@ -388,12 +381,10 @@ def enumerate_l_dominant(
         raise UnsupportedWeightError("w is not supported on W^S + W^SigmaS")
 
     verts = list(index.quiver.vertices)
-    m = {}
-    mp = {}
+    m, mp = {}, {}
     for i in verts:
-        s = index.vertex_of_slot[index.ar.simple[i]]
-        m[i] = w.get(index.sigma(s), 0)
-        mp[i] = w.get(index.sigma(index.shift_vertex(s)), 0)
+        s, ss = sigma_simples(index, i)
+        m[i], mp[i] = w.get(s, 0), w.get(ss, 0)
 
     results: set[tuple] = set()
     expected = 0

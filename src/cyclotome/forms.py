@@ -45,26 +45,20 @@ def deg_phi(index: CycIndex, w: dict[Vertex, int]) -> int:
     return sum(g.module_part) + sum(g.shifted_part)
 
 
+def _part_pairing(index: CycIndex, x: GradedClass, y: GradedClass, sign: int) -> int:
+    """<x,y> + sign <y,x>, taken part by part."""
+    q = index.quiver
+    return sum(euler_form(q, a, b) + sign * euler_form(q, b, a) for a, b in zip(x, y))
+
+
 def euler_a(index: CycIndex, x: GradedClass, y: GradedClass) -> int:
     """<x,y>_a: the antisymmetrized Euler pairing, part by part."""
-    q = index.quiver
-    return (
-        euler_form(q, x.module_part, y.module_part)
-        - euler_form(q, y.module_part, x.module_part)
-        + euler_form(q, x.shifted_part, y.shifted_part)
-        - euler_form(q, y.shifted_part, x.shifted_part)
-    )
+    return _part_pairing(index, x, y, -1)
 
 
 def euler_sym(index: CycIndex, x: GradedClass, y: GradedClass) -> int:
     """(x,y): the symmetrized Euler pairing, part by part."""
-    q = index.quiver
-    return (
-        euler_form(q, x.module_part, y.module_part)
-        + euler_form(q, y.module_part, x.module_part)
-        + euler_form(q, x.shifted_part, y.shifted_part)
-        + euler_form(q, y.shifted_part, x.shifted_part)
-    )
+    return _part_pairing(index, x, y, 1)
 
 
 def n_phi(index: CycIndex, w: dict[Vertex, int]) -> int:
@@ -107,22 +101,21 @@ def twist_exponent(index: CycIndex, w1: dict[Vertex, int], w2: dict[Vertex, int]
 
 
 def leading_exponent(index: CycIndex, m1: VWPair, m2: VWPair) -> HalfInt:
-    """Leading t-power of the twisted product: tilde exponent plus the twist."""
-    return HalfInt(2 * leading_exponent_tilde(index, m1, m2)) + twist_exponent(
-        index, m1.w, m2.w
+    """Leading t-power of the twisted product: tilde exponent plus the twist,
+    d(m2,m1) - d(m1,m2) + 1/2 <Phi(w2), Phi(w1)>_a."""
+    return HalfInt(
+        2 * leading_exponent_tilde(index, m1, m2)
+        + euler_a(index, phi(index, m2.w), phi(index, m1.w))
     )
 
 
 def script_n(index: CycIndex, m1: VWPair, m2: VWPair) -> HalfInt:
     """The antisymmetrized comparison form on pairs.
 
-    d(m2,m1) - d(m1,m2) + 1/2 <Phi(w2), Phi(w1)>_a; restricted to lifts of
-    modules it computes half the symmetrized Euler form.
+    It equals leading_exponent, since <,>_a is antisymmetric; restricted to
+    lifts of modules it computes half the symmetrized Euler form.
     """
-    return HalfInt(
-        2 * leading_exponent_tilde(index, m1, m2)
-        + euler_a(index, phi(index, m2.w), phi(index, m1.w))
-    )
+    return leading_exponent(index, m1, m2)
 
 
 # -- height order and the weight-level comparison form ----------------------------

@@ -87,13 +87,7 @@ class DynkinQuiver(Frozen):
     def __init__(self, n: int, arrows: tuple[tuple[int, int], ...], dynkin_type: str,
                  coxeter_number: int):
         super().__init__(n, arrows, dynkin_type, coxeter_number)
-        nbrs = {i: [] for i in range(1, n + 1)}
-        for s, t in arrows:
-            nbrs[s].append(t)
-            nbrs[t].append(s)
-        object.__setattr__(
-            self, "neighbours", {i: tuple(sorted(js)) for i, js in nbrs.items()}
-        )
+        object.__setattr__(self, "neighbours", _neighbour_table(n, arrows))
 
     @property
     def vertices(self) -> range:
@@ -109,15 +103,18 @@ class DynkinQuiver(Frozen):
         return f"{self.dynkin_type}[{self.orientation_label()}]"
 
 
-def _classify_tree(n: int, edges: list[tuple[int, int]]) -> str:
+def _neighbour_table(n: int, arrows) -> dict[int, tuple[int, ...]]:
+    """For each vertex 1..n, the vertices an arrow joins it to, in increasing order."""
+    nbrs = {i: [] for i in range(1, n + 1)}
+    for s, t in arrows:
+        nbrs[s].append(t)
+        nbrs[t].append(s)
+    return {i: tuple(sorted(js)) for i, js in nbrs.items()}
+
+
+def _classify_tree(n: int, adj: dict[int, tuple[int, ...]]) -> str:
     """Detect the ADE type of a tree from its degree sequence and arm lengths."""
-    deg = {i: 0 for i in range(1, n + 1)}
-    adj = {i: [] for i in range(1, n + 1)}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
+    deg = {i: len(js) for i, js in adj.items()}
     if any(d > 3 for d in deg.values()):
         raise NotADEError("vertex of degree > 3")
     branch = [i for i, d in deg.items() if d == 3]
@@ -175,10 +172,7 @@ def make_dynkin_quiver(n: int, arrows: list[tuple[int, int]]) -> DynkinQuiver:
     # Connectivity: n-1 distinct edges + connected <=> tree (hence acyclic).
     seen = {1}
     frontier = [1]
-    adj = {i: set() for i in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _neighbour_table(n, arrows)
     while frontier:
         x = frontier.pop()
         for y in adj[x]:
@@ -187,7 +181,7 @@ def make_dynkin_quiver(n: int, arrows: list[tuple[int, int]]) -> DynkinQuiver:
                 frontier.append(y)
     if len(seen) != n:
         raise NotATreeError("underlying graph is disconnected (so it has a cycle)")
-    dynkin_type = _classify_tree(n, edges)
+    dynkin_type = _classify_tree(n, adj)
     return DynkinQuiver(n, tuple(arrows), dynkin_type, _coxeter_number(dynkin_type))
 
 
@@ -245,37 +239,18 @@ def orient(dynkin_type: str, orientation: str = "linear") -> DynkinQuiver:
     ``linear``      every edge points from the higher label to the lower one
                     (for A_n this is the chain n -> ... -> 2 -> 1);
     ``alternating`` every vertex is a source or a sink (arrows point from odd
-                    to even depth, measured from vertex 1).
+                    to even height, which on a tree has the parity of the
+                    distance from vertex 1).
     """
     edges = standard_edges(dynkin_type)
     n = max(max(e) for e in edges) if edges else 1
-    if orientation == "linear":
-        arrows = [(max(u, v), min(u, v)) for u, v in edges]
-    elif orientation == "alternating":
-        depth = _depths(n, edges)
-        arrows = [
-            (u, v) if depth[u] % 2 == 1 else (v, u)
-            for u, v in edges
-        ]
-    else:
+    if orientation not in ("linear", "alternating"):
         raise QuiverError(f"unknown orientation {orientation!r}")
-    return make_dynkin_quiver(n, arrows)
-
-
-def _depths(n: int, edges: list[tuple[int, int]]) -> dict[int, int]:
-    adj = {i: [] for i in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    depth = {1: 0}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in depth:
-                depth[y] = depth[x] + 1
-                frontier.append(y)
-    return depth
+    quiver = make_dynkin_quiver(n, [(max(u, v), min(u, v)) for u, v in edges])
+    if orientation == "alternating":
+        xi = height_function(quiver)
+        quiver = make_dynkin_quiver(n, [(u, v) if xi[u] % 2 else (v, u) for u, v in edges])
+    return quiver
 
 
 def all_orientations(dynkin_type: str):

@@ -20,6 +20,7 @@ from .dominance import (
     enumerate_l_dominant,
     iota,
     residual,
+    sigma_simples,
     v_f,
     v_sigma_f,
     w_f,
@@ -105,12 +106,11 @@ def _report(index: CycIndex, relation: str, args) -> VerificationReport:
 # -- generator pairs ---------------------------------------------------------------
 
 def e_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair({}, index.e_sigma_slot(index.ar.simple[i]))
+    return VWPair({}, {sigma_simples(index, i)[0]: 1})
 
 
 def f_pair(index: CycIndex, i: int) -> VWPair:
-    s = index.vertex_of_slot[index.ar.simple[i]]
-    return VWPair({}, {index.sigma(index.shift_vertex(s)): 1})
+    return VWPair({}, {sigma_simples(index, i)[1]: 1})
 
 
 def k_prime_pair(index: CycIndex, i: int) -> VWPair:
@@ -242,20 +242,10 @@ def verify_ef(index: CycIndex, i: int, j: int) -> VerificationReport:
         canonical_order([{}, vf, vsf]),
     )
     # Leading shifts of the three restriction summands, recomputed from d.
-    pe, pf = VWPair({}, m_e.w), VWPair({}, m_f.w)
-
-    def shift_of(v1: dict, v2: dict) -> int:
-        a = VWPair(v1, m_e.w)
-        b = VWPair(v2, m_f.w)
-        return d_form(index, b, a) - d_form(index, a, b)
-
-    def shift_rev(v1: dict, v2: dict) -> int:
-        a = VWPair(v1, m_f.w)
-        b = VWPair(v2, m_e.w)
-        return d_form(index, b, a) - d_form(index, a, b)
-
-    ef_vf, ef_vsf, ef_0 = shift_of(vf, {}), shift_of(vsf, {}), shift_of({}, {})
-    fe_vf, fe_vsf = shift_rev(vf, {}), shift_rev(vsf, {})
+    ef_vf, ef_vsf, ef_0 = (
+        leading_exponent_tilde(index, VWPair(v, m_e.w), m_f) for v in (vf, vsf, {})
+    )
+    fe_vf, fe_vsf = (leading_exponent_tilde(index, VWPair(v, m_f.w), m_e) for v in (vf, vsf))
     rep.add("EF shifts at v^f, v^Sigma f, 0", (ef_vf, ef_vsf, ef_0), (1, -1, 0))
     rep.add("FE shifts at v^f, v^Sigma f", (fe_vf, fe_vsf), (-1, 1))
 
@@ -491,10 +481,7 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
     for masses in product(range(mass_cap + 1), repeat=len(verts)):
         if sum(masses) > mass_cap:
             continue
-        w = {}
-        for i, mult in zip(verts, masses):
-            if mult:
-                w[index.sigma(index.vertex_of_slot[index.ar.simple[i]])] = mult
+        w = {sigma_simples(index, i)[0]: mult for i, mult in zip(verts, masses) if mult}
         for v in enumerate_l_dominant(index, w):
             pool.append(VWPair(v, w))
     residuals = [residual(index, m) for m in pool]
@@ -564,18 +551,31 @@ def chevalley_exponent_table(index: CycIndex) -> VerificationReport:
 
 # -- driver ------------------------------------------------------------------------------
 
+#: The relation names, as the command line takes them.
+RELATIONS = ("ek", "ef", "kk", "serre", "same-form", "same-n", "exponent-table")
+
+
+def verify(index: CycIndex, relation: str, mass_cap: int = 3) -> list[VerificationReport]:
+    """The reports of one relation: one per ordered vertex pair (distinct for
+    serre) for ek, ef, kk and serre, a single report otherwise."""
+    verts = index.quiver.vertices
+    if relation == "serre":
+        return [verify_serre(index, i, j) for i in verts for j in verts if i != j]
+    if relation in ("ek", "ef", "kk"):
+        # built per call, so a verifier wrapped after import is the one that runs
+        fn = {"ek": verify_ek, "ef": verify_ef, "kk": verify_kk}[relation]
+        return [fn(index, i, j) for i in verts for j in verts]
+    if relation == "same-form":
+        return [verify_same_form(index)]
+    if relation == "same-n":
+        return [verify_same_n(index, mass_cap)]
+    if relation == "exponent-table":
+        return [chevalley_exponent_table(index)]
+    raise ValueError(f"unknown relation {relation!r}")
+
+
 def verify_all(index: CycIndex, mass_cap: int = 3) -> list[VerificationReport]:
-    reports = []
-    verts = list(index.quiver.vertices)
-    for i in verts:
-        for j in verts:
-            reports.append(verify_ek(index, i, j))
-            reports.append(verify_ef(index, i, j))
-            reports.append(verify_kk(index, i, j))
-            if i != j:
-                reports.append(verify_serre(index, i, j))
-    reports.append(verify_same_form(index))
-    reports.append(verify_same_n(index, mass_cap))
-    reports.append(chevalley_exponent_table(index))
-    reports.sort(key=lambda r: (r.relation, r.args))
-    return reports
+    return sorted(
+        (rep for relation in RELATIONS for rep in verify(index, relation, mass_cap)),
+        key=lambda r: (r.relation, r.args),
+    )

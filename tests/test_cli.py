@@ -6,6 +6,7 @@ Core claims:
     - identical invocations produce byte-identical output
     - the documented literal grammar (numeric and named tokens) round-trips
     - malformed input exits 2 with a message, never a traceback (seeded fuzz)
+    - a verify that would run no case exits 2 instead of passing vacuously
     - a reader that closes the output pipe early gets exit 1 and nothing on stderr
 """
 
@@ -113,6 +114,19 @@ class TestSubcommands:
         assert code == 0
         assert out.startswith("# relation suite")
         assert "| serre |" in out
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--markdown"]], ids=["text", "json", "md"])
+    def test_verify_with_no_cases_exits_two(self, fmt, capsys):
+        # A1 has no two distinct vertices, so serre has nothing to check
+        assert main(["verify", "serre", "--type", "A1", *fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "cyclotome: error: serre has no cases on A1\n"
+        assert captured.out == ""
+
+    def test_verify_all_on_a1_passes(self, capsys):
+        code, out = run(capsys, "verify", "all", "--type", "A1")
+        assert code == 0
+        assert out.endswith("overall: pass\n")
 
     def test_serre_dims(self, capsys):
         code, out = run(capsys, "serre-dims", "--type", "A2", "--maxdeg", "3")

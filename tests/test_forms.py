@@ -6,7 +6,11 @@ Core claims:
     - euler_a is antisymmetric, euler_sym symmetrizes to Cartan entries
     - twist exponents reproduce the Cartan commutation corrections
     - script-N and the height-signed form agree on lifted modules
+    - script-N equals the twisted leading exponent on every pair, l-dominant
+      or not, since <,>_a is antisymmetric
 """
+
+import random
 
 import pytest
 
@@ -24,6 +28,7 @@ from cyclotome import (
     leading_exponent,
     leading_exponent_tilde,
     n_phi,
+    script_n,
     orient,
     phi,
     q_degree_compare,
@@ -225,8 +230,6 @@ class TestHeights:
         assert hl_form(idx, s1, p2) == -hl_form(idx, p2, s1)
 
     def test_script_n_example_a2(self):
-        from cyclotome import script_n
-
         idx = a2()
         m1 = iota(idx, idx.ar.simple[1])
         m2 = iota(idx, idx.ar.projective[2])
@@ -243,3 +246,23 @@ class TestHeights:
         q = idx.quiver
         sym = euler_form(q, (1, 1, 1), (0, 1, 0)) + euler_form(q, (0, 1, 0), (1, 1, 1))
         assert sym == 0
+
+
+def random_pair(rng, idx):
+    """A pair with up to three entries on each side, l-dominant or not."""
+    v = {rng.choice(sorted(idx.sigma_i_hat)): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+    w = {rng.choice(sorted(idx.i_hat)): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+    return VWPair(v, w)
+
+
+@pytest.mark.parametrize("orientation", ["linear", "alternating"])
+@pytest.mark.parametrize("t", ["A2", "A3", "A4", "D4", "D5", "E6"])
+def test_script_n_is_the_leading_exponent(t, orientation):
+    idx = build_index(orient(t, orientation))
+    rng = random.Random(f"{t}-{orientation}")
+    for _ in range(100):
+        m1, m2 = random_pair(rng, idx), random_pair(rng, idx)
+        expected = HalfInt(2 * leading_exponent_tilde(idx, m1, m2)) + twist_exponent(
+            idx, m1.w, m2.w
+        )
+        assert script_n(idx, m1, m2) == leading_exponent(idx, m1, m2) == expected

@@ -10,6 +10,8 @@ Core claims:
     - nor does a bare `raise AssertionError`: it names no invariant
     - importing the command line loads neither dataclasses, typing nor inspect,
       whose import costs more than the rest of the package
+    - the command line reaches the relation verifiers only through
+      relations.verify and verify_all, so the dispatch lives in one place
 """
 
 import ast
@@ -71,6 +73,15 @@ def test_no_raise_assertion_error_in_src(path):
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 lines.append(node.lineno)
     assert lines == []
+
+
+def test_cli_imports_no_single_verifier():
+    names = {
+        name for module, name in package_imports(PACKAGE / "cli.py")
+        if module.endswith("relations")
+    }
+    assert "verify" in names
+    assert {n for n in names if n.startswith("verify_")} <= {"verify_all"}
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

@@ -8,6 +8,8 @@ Core claims:
     - the neighbour table matches the arrows and leaves equality, hashing and
       repr to the four declared fields
     - height functions obey the arrow rule on every arrow, any orientation
+    - the alternating orientation makes every vertex a source or a sink, with
+      the sinks exactly the even-height vertices
 """
 
 import pytest
@@ -177,6 +179,19 @@ class TestHeightFunction:
 
     def test_a2(self):
         assert height_function(orient("A2", "linear")) == {1: 0, 2: 1}
+
+    @pytest.mark.parametrize(
+        "t",
+        [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
+    )
+    def test_alternating_sinks_are_the_even_heights(self, t):
+        q = orient(t, "alternating")
+        tails = {s for s, _ in q.arrows}
+        heads = {tgt for _, tgt in q.arrows}
+        assert not tails & heads  # no vertex has an arrow in and an arrow out
+        xi = height_function(q)
+        sinks = set(q.vertices) - tails
+        assert sinks == {i for i in q.vertices if xi[i] % 2 == 0}
 
     @pytest.mark.parametrize("t", ["A4", "D4", "E6"])
     def test_arrow_rule_every_orientation(self, t):

@@ -5,6 +5,8 @@ Core claims:
     - every verifier passes on the small types, all orientations
     - the numeric fixtures (twisted exponents, shifts, Serre case data) match
     - reports expose exact computed/expected values and serialize to JSON
+    - verify(index, relation) gives exactly the reports verify_all gives for
+      that relation
 """
 
 import json
@@ -12,11 +14,13 @@ import json
 import pytest
 
 from cyclotome import (
+    RELATIONS,
     build_index,
     all_orientations,
     orient,
     chevalley_exponent_table,
     chevalley_generators,
+    verify,
     verify_all,
     verify_ef,
     verify_ek,
@@ -202,6 +206,19 @@ class TestDictionary:
         reports = verify_all(a2())
         assert reports
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_verify_matches_verify_all(self, relation):
+        idx = build_index(orient("A3", "alternating"))
+        reports = verify(idx, relation, mass_cap=2)
+        assert reports
+        assert [r.to_dict() for r in reports] == [
+            r.to_dict() for r in verify_all(idx, mass_cap=2) if r.relation == relation
+        ]
+
+    def test_verify_rejects_an_unknown_relation(self):
+        with pytest.raises(ValueError, match="unknown relation"):
+            verify(a2(), "all")
 
     def test_report_serializes(self):
         rep = verify_ek(a2(), 1, 2)
