@@ -316,17 +316,14 @@ def unit_vector(q: DynkinQuiver, i: int) -> tuple[int, ...]:
 
 def height_function(q: DynkinQuiver) -> dict[int, int]:
     """The canonical integer height lift: xi(1) = 0, xi(s) = xi(t) + 1 per arrow s->t."""
+    arrows = set(q.arrows)
     xi = {1: 0}
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in q.vertices}
-    for s, t in q.arrows:
-        adj[s].append((t, -1))
-        adj[t].append((s, +1))
     frontier = [1]
     while frontier:
         x = frontier.pop()
-        for y, step in adj[x]:
+        for y in q.neighbours[x]:
             if y not in xi:
-                xi[y] = xi[x] + step
+                xi[y] = xi[x] - 1 if (x, y) in arrows else xi[x] + 1
                 frontier.append(y)
     return xi
 

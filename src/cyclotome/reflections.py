@@ -62,7 +62,7 @@ class Rep:
 
 
 def _zero_matrix(rows, cols):
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
 
 
 def _simple_rep(arrows, n, j) -> Rep:
@@ -72,8 +72,14 @@ def _simple_rep(arrows, n, j) -> Rep:
 
 
 def _rref(rows):
-    """Row-reduce over Q; returns (reduced rows, pivot column list)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    """Row-reduce over Q; returns (reduced rows, pivot column list).
+
+    Entries are ints or Fractions; scaling by a pivot whose inverse is an
+    integer, such as -1, keeps ints as ints.  Each pivot step reads the
+    nonzero columns of the pivot row once and updates only those columns of
+    the rows it clears.
+    """
+    rows = [list(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -82,12 +88,20 @@ def _rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        support = [j for j in range(c, ncols) if prow[j] != 0]
+        pv = prow[c]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            if inv.denominator == 1:  # keep a row of ints in ints
+                inv = inv.numerator
+            for j in support:
+                prow[j] *= inv
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f != 0 and i != r:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -208,7 +222,7 @@ def hom_space_dim(m: Rep, n_: Rep) -> int:
         # phi_t a - b phi_s = 0, one scalar equation per (r, c) in (n_t, m_s)
         for r in range(n_.dims[t]):
             for c in range(m.dims[s]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for k in range(m.dims[t]):  # phi_t[r][k] * a[k][c]
                     if a[k][c] != 0:
                         row[unknown_offset[t] + r * m.dims[t] + k] += a[k][c]
@@ -221,11 +235,13 @@ def hom_space_dim(m: Rep, n_: Rep) -> int:
 
 
 class BruteForceOracle:
-    """Caches explicit representations per quiver and answers Hom queries."""
+    """Caches explicit representations per root, and the intertwiner nullity
+    per root pair that both gaps read, and answers Hom queries."""
 
     def __init__(self, ar: ARQuiver):
         self.ar = ar
         self._reps: dict[tuple[int, ...], Rep] = {}
+        self._homs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
     def rep(self, root: tuple[int, ...]) -> Rep:
         if root not in self._reps:
@@ -238,7 +254,9 @@ class BruteForceOracle:
             return 0
         rx = self.ar.root_of[x.slot]
         ry = self.ar.root_of[y.slot]
-        hom = hom_space_dim(self.rep(rx), self.rep(ry))
+        hom = self._homs.get((rx, ry))
+        if hom is None:
+            hom = self._homs[(rx, ry)] = hom_space_dim(self.rep(rx), self.rep(ry))
         if gap == 0:
             return hom
         return hom - euler_form(self.ar.quiver, rx, ry)

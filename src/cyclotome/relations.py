@@ -557,7 +557,8 @@ RELATIONS = ("ek", "ef", "kk", "serre", "same-form", "same-n", "exponent-table")
 
 def verify(index: CycIndex, relation: str, mass_cap: int = 3) -> list[VerificationReport]:
     """The reports of one relation: one per ordered vertex pair (distinct for
-    serre) for ek, ef, kk and serre, a single report otherwise."""
+    serre) for ek, ef, kk and serre, a single report otherwise; none for
+    same-form on a quiver with one module, which has no pair to compare."""
     verts = index.quiver.vertices
     if relation == "serre":
         return [verify_serre(index, i, j) for i in verts for j in verts if i != j]
@@ -566,7 +567,7 @@ def verify(index: CycIndex, relation: str, mass_cap: int = 3) -> list[Verificati
         fn = {"ek": verify_ek, "ef": verify_ef, "kk": verify_kk}[relation]
         return [fn(index, i, j) for i in verts for j in verts]
     if relation == "same-form":
-        return [verify_same_form(index)]
+        return [verify_same_form(index)] if len(index.ar.modules) > 1 else []
     if relation == "same-n":
         return [verify_same_n(index, mass_cap)]
     if relation == "exponent-table":

@@ -115,12 +115,17 @@ class TestSubcommands:
         assert out.startswith("# relation suite")
         assert "| serre |" in out
 
-    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--markdown"]], ids=["text", "json", "md"])
-    def test_verify_with_no_cases_exits_two(self, fmt, capsys):
-        # A1 has no two distinct vertices, so serre has nothing to check
-        assert main(["verify", "serre", "--type", "A1", *fmt]) == 2
+    @pytest.mark.parametrize(
+        "relation, fmt",
+        [(r, f) for r in ("serre", "same-form") for f in ([], ["--json"], ["--markdown"])],
+        ids=["text", "json", "md", "same-form-text", "same-form-json", "same-form-md"],
+    )
+    def test_verify_with_no_cases_exits_two(self, relation, fmt, capsys):
+        # A1 has no two distinct vertices, so serre has nothing to check, and
+        # one module, so same-form has no pair of distinct modules
+        assert main(["verify", relation, "--type", "A1", *fmt]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "cyclotome: error: serre has no cases on A1\n"
+        assert captured.err == f"cyclotome: error: {relation} has no cases on A1\n"
         assert captured.out == ""
 
     def test_verify_all_on_a1_passes(self, capsys):

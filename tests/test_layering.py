@@ -12,6 +12,10 @@ Core claims:
       whose import costs more than the rest of the package
     - the command line reaches the relation verifiers only through
       relations.verify and verify_all, so the dispatch lives in one place
+    - the Hom oracle stays independent: reflections.py and serre.py do not
+      import each other, directly or through another module, so matrix_rank
+      stays a separate reference for bareiss_rank; and reflections.py never
+      names the stored Euler pairing behind the closed Hom formula it checks
 """
 
 import ast
@@ -94,3 +98,36 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.split() == []
+
+
+def reachable_modules(name: str) -> set[str]:
+    """The package modules a module imports, directly or through others."""
+    seen, frontier = set(), [name]
+    while frontier:
+        for module, alias in package_imports(PACKAGE / f"{frontier.pop()}.py"):
+            # `from .x import y` names module x; `from . import x` names x
+            for dep in (module.split(".")[-1], alias if module in ("", "cyclotome") else None):
+                if dep and dep not in seen and (PACKAGE / f"{dep}.py").exists():
+                    seen.add(dep)
+                    frontier.append(dep)
+    return seen
+
+
+def test_rank_references_do_not_reach_each_other():
+    assert "serre" not in reachable_modules("reflections")
+    assert "reflections" not in reachable_modules("serre")
+
+
+def test_hom_oracle_never_names_the_stored_pairing():
+    tree = ast.parse((PACKAGE / "reflections.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert "euler_pairing" not in names

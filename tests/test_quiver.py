@@ -7,7 +7,9 @@ Core claims:
       tuples alike
     - the neighbour table matches the arrows and leaves equality, hashing and
       repr to the four declared fields
-    - height functions obey the arrow rule on every arrow, any orientation
+    - height functions obey the arrow rule on every arrow, any orientation, and
+      keep their pinned values on the built-in orientations of A1-A8, D4-D8
+      and E6-E8
     - the alternating orientation makes every vertex a source or a sink, with
       the sinks exactly the even-height vertices
 """
@@ -192,6 +194,47 @@ class TestHeightFunction:
         xi = height_function(q)
         sinks = set(q.vertices) - tails
         assert sinks == {i for i in q.vertices if xi[i] % 2 == 0}
+
+    # heights of the built-in orientations, vertex by vertex from 1
+    PINNED_HEIGHTS = {
+        ("A1", "linear"): (0,),
+        ("A2", "linear"): (0, 1),
+        ("A3", "linear"): (0, 1, 2),
+        ("A4", "linear"): (0, 1, 2, 3),
+        ("A5", "linear"): (0, 1, 2, 3, 4),
+        ("A6", "linear"): (0, 1, 2, 3, 4, 5),
+        ("A7", "linear"): (0, 1, 2, 3, 4, 5, 6),
+        ("A8", "linear"): (0, 1, 2, 3, 4, 5, 6, 7),
+        ("D4", "linear"): (0, 1, 2, 2),
+        ("D5", "linear"): (0, 1, 2, 3, 3),
+        ("D6", "linear"): (0, 1, 2, 3, 4, 4),
+        ("D7", "linear"): (0, 1, 2, 3, 4, 5, 5),
+        ("D8", "linear"): (0, 1, 2, 3, 4, 5, 6, 6),
+        ("E6", "linear"): (0, 1, 2, 3, 4, 3),
+        ("E7", "linear"): (0, 1, 2, 3, 4, 5, 3),
+        ("E8", "linear"): (0, 1, 2, 3, 4, 5, 6, 3),
+        ("A1", "alternating"): (0,),
+        ("A2", "alternating"): (0, 1),
+        ("A3", "alternating"): (0, 1, 0),
+        ("A4", "alternating"): (0, 1, 0, 1),
+        ("A5", "alternating"): (0, 1, 0, 1, 0),
+        ("A6", "alternating"): (0, 1, 0, 1, 0, 1),
+        ("A7", "alternating"): (0, 1, 0, 1, 0, 1, 0),
+        ("A8", "alternating"): (0, 1, 0, 1, 0, 1, 0, 1),
+        ("D4", "alternating"): (0, 1, 0, 0),
+        ("D5", "alternating"): (0, 1, 0, 1, 1),
+        ("D6", "alternating"): (0, 1, 0, 1, 0, 0),
+        ("D7", "alternating"): (0, 1, 0, 1, 0, 1, 1),
+        ("D8", "alternating"): (0, 1, 0, 1, 0, 1, 0, 0),
+        ("E6", "alternating"): (0, 1, 0, 1, 0, 1),
+        ("E7", "alternating"): (0, 1, 0, 1, 0, 1, 1),
+        ("E8", "alternating"): (0, 1, 0, 1, 0, 1, 0, 1),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_HEIGHTS), ids=lambda k: "-".join(k))
+    def test_built_in_orientations_keep_their_heights(self, key):
+        xi = height_function(orient(*key))
+        assert xi == dict(enumerate(self.PINNED_HEIGHTS[key], start=1))
 
     @pytest.mark.parametrize("t", ["A4", "D4", "E6"])
     def test_arrow_rule_every_orientation(self, t):
