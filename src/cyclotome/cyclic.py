@@ -29,8 +29,9 @@ class CycIndex:
         self.h = quiver.coxeter_number
         self.two_h = 2 * self.h
         self.xi = dict(xi) if xi is not None else height_function(quiver)
-        # Per-quiver invariants, each filled on first use by dominance.py:
-        # ("v_f", i), ("iota", slot) and "cones".
+        # Per-quiver invariants, each filled on first use: ("v_f", i),
+        # ("iota", slot), ("lifts", beta) and "cones" by dominance.py, and the
+        # generator pairs (name, i) by relations.py.
         self.tables: dict = {}
 
         self.i_hat: set[Vertex] = set()

@@ -46,9 +46,14 @@ class LiftInvariantError(RuntimeError):
 
 
 class VWPair:
-    """A pair of finitely supported nonnegative vectors (v, w)."""
+    """A pair of finitely supported nonnegative vectors (v, w).
 
-    __slots__ = ("v", "w", "_key")
+    ``_terms`` is None until the forms read the pair, then the list
+    [index, w - C_q v, Phi(w)] for the last index it was read with; it takes
+    no part in equality, hashing, ordering, repr, copies or pickles.
+    """
+
+    __slots__ = ("v", "w", "_key", "_terms")
 
     def __init__(self, v: dict[Vertex, int], w: dict[Vertex, int]):
         self.v = canon(v)
@@ -56,6 +61,10 @@ class VWPair:
         if any(c < 0 for c in self.v.values()) or any(c < 0 for c in self.w.values()):
             raise ValueError("VWPair entries must be nonnegative")
         self._key = (tuple(self.v.items()), tuple(self.w.items()))
+        self._terms = None
+
+    def __reduce__(self):
+        return VWPair, (self.v, self.w)
 
     def __eq__(self, other):
         return isinstance(other, VWPair) and self._key == other._key
@@ -346,8 +355,14 @@ def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
 
 # -- enumeration --------------------------------------------------------------------
 
-def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> list[dict[Vertex, int]]:
-    """All v with (v, sum beta_i e_{sigma S_i}) l-dominant: one per Kostant multiset."""
+def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[dict[Vertex, int], ...]:
+    """All v with (v, sum beta_i e_{sigma S_i}) l-dominant: one per Kostant multiset.
+
+    Built once per beta and kept on the index; callers must not mutate the
+    vectors."""
+    stored = index.tables.get(("lifts", beta))
+    if stored is not None:
+        return stored
     out = []
     seen = set()
     for multiset in kostant_multisets(index, beta):
@@ -361,7 +376,8 @@ def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> list[dict[Vertex,
             raise EnumerationMismatchError("two Kostant multisets lifted to one v")
         seen.add(key)
         out.append(pair.v)
-    return out
+    stored = index.tables[("lifts", beta)] = tuple(out)
+    return stored
 
 
 def enumerate_l_dominant(

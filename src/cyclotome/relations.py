@@ -19,7 +19,6 @@ from .dominance import (
     VWPair,
     enumerate_l_dominant,
     iota,
-    residual,
     sigma_simples,
     v_f,
     v_sigma_f,
@@ -31,6 +30,7 @@ from .forms import (
     hl_extension,
     leading_exponent,
     leading_exponent_tilde,
+    pair_residual,
     phi,
     script_n,
     twist_exponent,
@@ -105,24 +105,37 @@ def _report(index: CycIndex, relation: str, args) -> VerificationReport:
 
 # -- generator pairs ---------------------------------------------------------------
 
+def _generator(index: CycIndex, name: str, i: int, build) -> VWPair:
+    """The generator pair (name, i), built once per index and kept in
+    index.tables, so every call returns one pair whose d and Phi terms are
+    computed once."""
+    key = (name, i)
+    pair = index.tables.get(key)
+    if pair is None:
+        pair = index.tables[key] = build()
+    return pair
+
+
 def e_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair({}, {sigma_simples(index, i)[0]: 1})
+    return _generator(index, "E", i, lambda: VWPair({}, {sigma_simples(index, i)[0]: 1}))
 
 
 def f_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair({}, {sigma_simples(index, i)[1]: 1})
+    return _generator(index, "F", i, lambda: VWPair({}, {sigma_simples(index, i)[1]: 1}))
 
 
 def k_prime_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair(v_f(index, i), w_f(index, i))
+    return _generator(index, "K'", i, lambda: VWPair(v_f(index, i), w_f(index, i)))
 
 
 def k_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair(v_sigma_f(index, i), w_f(index, i))
+    return _generator(index, "K", i, lambda: VWPair(v_sigma_f(index, i), w_f(index, i)))
 
 
 def central_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair(add(v_f(index, i), v_sigma_f(index, i)), scale(w_f(index, i), 2))
+    return _generator(index, "central", i, lambda: VWPair(
+        add(v_f(index, i), v_sigma_f(index, i)), scale(w_f(index, i), 2)
+    ))
 
 
 def chevalley_generators(index: CycIndex) -> dict[str, VWPair]:
@@ -440,8 +453,10 @@ def verify_serre(index: CycIndex, i: int, j: int) -> VerificationReport:
 def verify_same_form(index: CycIndex) -> VerificationReport:
     """The comparison identity between the pair form on lifts and the
     height-signed symmetrized Euler form, over every eligible ordered pair."""
-    rep = _report(index, "same-form", ())
     ar = index.ar
+    if len(ar.modules) < 2:
+        raise CaseMismatchError("same-form needs two modules to compare")
+    rep = _report(index, "same-form", ())
     lifts = {m: iota(index, m) for m in ar.modules}
     failures = []
     pairs = 0
@@ -484,7 +499,7 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
         w = {sigma_simples(index, i)[0]: mult for i, mult in zip(verts, masses) if mult}
         for v in enumerate_l_dominant(index, w):
             pool.append(VWPair(v, w))
-    residuals = [residual(index, m) for m in pool]
+    residuals = [pair_residual(index, m) for m in pool]
     failures = []
     for m1, r1 in zip(pool, residuals):
         for m2, r2 in zip(pool, residuals):

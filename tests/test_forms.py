@@ -8,6 +8,9 @@ Core claims:
     - script-N and the height-signed form agree on lifted modules
     - script-N equals the twisted leading exponent on every pair, l-dominant
       or not, since <,>_a is antisymmetric
+    - the residual and Phi that a pair keeps belong to one index: read with
+      another index (same I-hat, another section), the pair gives the values
+      of a fresh copy; and residual hands out a copy that d never sees
 """
 
 import random
@@ -32,6 +35,7 @@ from cyclotome import (
     orient,
     phi,
     q_degree_compare,
+    residual,
     twist_exponent,
     v_f,
     w_f,
@@ -208,7 +212,42 @@ class TestLeadingExponents:
         assert diff == HalfInt.of(2)  # a_11
 
 
-# == 6. heights and the comparison form =======================================================
+# == 6. the terms a pair keeps ==================================================================
+
+def fresh(pair):
+    return VWPair(pair.v, pair.w)
+
+
+class TestPairTerms:
+    def test_a_pair_read_with_another_index_recomputes(self):
+        a = build_index(orient("A3", "linear"))
+        # every xi(i) raised by 2: the same I-hat, but another section
+        b = build_index(a.quiver, {i: x + 2 for i, x in a.xi.items()})
+        assert a.i_hat == b.i_hat and a.section != b.section
+        e, kp = e_pair(a, 2), k_prime_pair(a, 1)
+        assert leading_exponent(a, e, kp) == HalfInt(-1)
+        assert leading_exponent(b, e, kp) == leading_exponent(b, fresh(e), fresh(kp))
+        assert leading_exponent(b, e, kp) == HalfInt(-3)
+        for m1, m2 in ((e, kp), (kp, e)):
+            assert d_form(b, m1, m2) == d_form(b, fresh(m1), fresh(m2))
+            assert residual(b, m1) == residual(b, fresh(m1))
+        assert leading_exponent(a, e, kp) == HalfInt(-1)
+
+    def test_mutating_a_residual_leaves_d_alone(self):
+        idx = build_index(orient("A3", "alternating"))
+        m1, m2 = e_pair(idx, 2), k_prime_pair(idx, 1)
+        before = d_form(idx, m1, m2)
+        assert before
+        res = residual(idx, m1)
+        for y in res:
+            res[y] += 5
+        for x in m2.v:
+            res[idx.sigma_inv(x)] = 7
+        assert d_form(idx, m1, m2) == before == d_form(idx, fresh(m1), m2)
+        assert residual(idx, m1) != res
+
+
+# == 7. heights and the comparison form =======================================================
 
 class TestHeights:
     def test_a2_heights(self):

@@ -2,12 +2,17 @@
 
 Core claims:
     - each subcommand below prints exactly the bytes stored in tests/golden/
+    - ``verify all --json`` on D4 (mass cap 3) and E6 (mass cap 1), alternating,
+      prints output with the SHA-256 digests pinned below (the outputs are
+      141 KB and 361 KB, so only their digests are kept)
     - every script under demos/ runs to completion with exit code 0
 
 To refresh a golden file after an intended output change, run the case's argv
-through ``cyclotome`` and overwrite ``tests/golden/<name>.txt``.
+through ``cyclotome`` and overwrite ``tests/golden/<name>.txt``; to refresh a
+digest, pipe the same argv's output through ``sha256sum``.
 """
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +55,24 @@ def test_cli_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+DIGESTS = {
+    ("D4", "3"): "8e194bc0f8d70b5efcf29d8b39329b13ad1df324fb36c40309ca3e642422cd31",
+    ("E6", "1"): "e72af0231a239ddbfb265fdc20f31bfd86cbce200c0a8970407f1a0f16dda922",
+}
+
+
+@pytest.mark.parametrize("dynkin_type,mass_cap", sorted(DIGESTS))
+def test_verify_all_json_digest(dynkin_type, mass_cap, capsys):
+    code = main([
+        "verify", "all", "--type", dynkin_type, "--orientation", "alternating",
+        "--json", "--mass-cap", mass_cap,
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == DIGESTS[dynkin_type, mass_cap]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

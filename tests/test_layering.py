@@ -8,6 +8,9 @@ Core claims:
     - no assert statement guards an invariant under src/: python -O would
       strip it, so invariants raise named errors
     - nor does a bare `raise AssertionError`: it names no invariant
+    - nothing under src/ uses functools.lru_cache or functools.cache: stored
+      state lives only in index.tables and ar.tables, where it dies with its
+      quiver
     - importing the command line loads neither dataclasses, typing nor inspect,
       whose import costs more than the rest of the package
     - the command line reaches the relation verifiers only through
@@ -77,6 +80,42 @@ def test_no_raise_assertion_error_in_src(path):
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 lines.append(node.lineno)
     assert lines == []
+
+
+FUNCTOOLS_CACHES = {"lru_cache", "cache"}
+
+
+def functools_caches(tree) -> list[int]:
+    """Lines that import or name functools.lru_cache or functools.cache."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "functools"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in FUNCTOOLS_CACHES for alias in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("from functools import lru_cache", [1]),
+    ("import functools as ft\n@ft.cache\ndef f(): pass", [2]),
+    ("import functools\nf = functools.lru_cache(maxsize=None)(len)", [2]),
+    ("from functools import reduce\ncache = {}\nx = self.cache", []),
+])
+def test_functools_cache_detector(source, lines):
+    assert functools_caches(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_functools_caches_in_src(path):
+    assert functools_caches(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_cli_imports_no_single_verifier():

@@ -7,6 +7,8 @@ Core claims:
     - reports expose exact computed/expected values and serialize to JSON
     - verify(index, relation) gives exactly the reports verify_all gives for
       that relation
+    - no verifier passes vacuously: serre on i = i and same-form on a quiver
+      with one module raise CaseMismatchError
 """
 
 import json
@@ -182,6 +184,13 @@ class TestSection5:
     def test_same_form_all_orientations_a3(self):
         for q in all_orientations("A3"):
             assert verify_same_form(build_index(q)).passed
+
+    def test_same_form_rejects_a_single_module(self):
+        # A1 has one module, so no ordered pair of distinct modules to compare
+        idx = build_index(orient("A1"))
+        with pytest.raises(CaseMismatchError):
+            verify_same_form(idx)
+        assert verify(idx, "same-form") == []
 
 
 # == 6. the dictionary and the driver ===================================================

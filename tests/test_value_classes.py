@@ -11,6 +11,9 @@ Core claims:
       unhashable; every report starts with its own empty list of checks
     - each repr names the class and its fields as keywords
     - copy, deepcopy and pickle give back an equal value
+    - a VWPair that the forms have read compares, hashes, orders and prints
+      like an unread pair with the same (v, w), and its copies and pickles
+      carry only (v, w): they pickle to the same bytes as the unread pair
 """
 
 import copy
@@ -19,9 +22,10 @@ import pickle
 import pytest
 
 from cyclotome import (
-    Check, Cones, DerivedObject, GradedClass, VerificationReport, build_index, cones,
-    orient,
+    Check, Cones, DerivedObject, GradedClass, VerificationReport, VWPair, build_index, cones,
+    d_form, leading_exponent, orient,
 )
+from cyclotome.relations import e_pair, k_prime_pair
 
 FOREIGN = [None, 0, "x", (), ((1, 0), 0)]
 
@@ -144,6 +148,31 @@ class TestVerificationReport:
             hash(report)
 
 
+class TestVWPair:
+    def _used_and_unused(self):
+        idx = build_index(orient("E6", "alternating"))
+        used = k_prime_pair(idx, 1)
+        unused = VWPair(used.v, used.w)
+        leading_exponent(idx, used, e_pair(idx, 2))
+        d_form(idx, used, used)
+        return used, unused
+
+    def test_reading_changes_no_value_behaviour(self):
+        used, unused = self._used_and_unused()
+        assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
+        assert not used < unused and not unused < used
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_carry_only_v_and_w(self, clone):
+        used, unused = self._used_and_unused()
+        assert pickle.dumps(used) == pickle.dumps(unused)
+        twin = clone(used)
+        assert type(twin) is VWPair and twin == used
+        assert pickle.dumps(twin) == pickle.dumps(unused)
+
+
 @pytest.mark.parametrize("make", [
     lambda: DerivedObject((2, 1), 1),
     lambda: orient("D4", "alternating"),
@@ -151,7 +180,9 @@ class TestVerificationReport:
     lambda: GradedClass((1,), (0,)),
     lambda: Check("k", 1, 1),
     lambda: VerificationReport("ek", "A2", "1>2", (1,), [Check("k", 1, 1)]),
-], ids=["DerivedObject", "DynkinQuiver", "Cones", "GradedClass", "Check", "VerificationReport"])
+    lambda: VWPair({(1, 1): 2}, {(1, 0): 1}),
+], ids=["DerivedObject", "DynkinQuiver", "Cones", "GradedClass", "Check", "VerificationReport",
+        "VWPair"])
 @pytest.mark.parametrize("clone", [
     copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
 ], ids=["copy", "deepcopy", "pickle"])
