@@ -120,10 +120,10 @@ class ARQuiver:
         e = euler_matrix(quiver)
         # -E^{-T} E sends the class of a non-injective module M to the class
         # of tau^{-1} M (and the class of P_i to minus the class of I_i).
-        self.tau_inv_matrix = mat_neg(mat_mul(mat_transpose(unipotent_inverse(e)), e))
-        self.coxeter_matrix = mat_neg(mat_mul(unipotent_inverse(e), mat_transpose(e)))
+        inj = unipotent_inverse(e)  # column i-1 = dim I_i
+        proj = mat_transpose(inj)  # column i-1 = dim P_i
+        self.tau_inv_matrix = mat_neg(mat_mul(proj, e))
 
-        proj = mat_transpose(unipotent_inverse(e))  # column i-1 = dim P_i
         self.class_of: dict[Slot, tuple[int, ...]] = {}
         for i in quiver.vertices:
             vec = tuple(proj[j][i - 1] for j in range(n))
@@ -157,7 +157,6 @@ class ARQuiver:
             i: self.slot_of_root[tuple(1 if j == i else 0 for j in quiver.vertices)]
             for i in quiver.vertices
         }
-        inj = unipotent_inverse(e)  # column i-1 = dim I_i
         self.injective: dict[int, Slot] = {
             i: self.slot_of_root[tuple(inj[j][i - 1] for j in range(n))]
             for i in quiver.vertices

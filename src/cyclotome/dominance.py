@@ -70,6 +70,8 @@ class VWPair:
         return isinstance(other, VWPair) and self._key == other._key
 
     def __lt__(self, other):
+        if not isinstance(other, VWPair):
+            return NotImplemented
         return self._key < other._key
 
     def __hash__(self):

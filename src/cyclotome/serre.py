@@ -5,14 +5,16 @@ slice of the two-sided ideal generated by the quantum Serre elements is a
 matrix over Z[t] (the generators' t-denominators are cleared once), whose rank
 over the fraction field is computed by a sparse, lazily scaled form of
 Bareiss's fraction-free elimination: these matrices are mostly zero, and only
-rows nonzero in a pivot column are touched.  The quotient's graded
-dimension must match the Kostant partition count in every degree;
+rows nonzero in a pivot column are touched.  Each slice is spanned by its
+generators and by E_i r, r E_i for r in a basis of a slice one letter below;
+the pivot rows of that slice's elimination are that basis.  The quotient's
+graded dimension must match the Kostant partition count in every degree;
 specializing t could drop rank, so nothing here ever leaves Z[t].
 """
 
 from __future__ import annotations
 
-from itertools import product, zip_longest
+from itertools import zip_longest
 
 from .quiver import DynkinQuiver, cartan_entry
 
@@ -72,15 +74,18 @@ def pdivexact(a, b):
     return ptrim(out)
 
 
-def bareiss_rank(rows) -> int:
-    """Rank over Q(t) of a matrix with Z[t] entries, by sparse fraction-free elimination.
+def bareiss_rank(rows) -> list[int]:
+    """Indices of a basis of the rows of a Z[t] matrix over Q(t); their count is its rank.
 
     ``rows`` is a dense list of rows of Z[t] tuples; a zero may be ``()`` or
-    untrimmed.  This is Bareiss's elimination (E. H. Bareiss, *Sylvester's
-    identity and multistep integer-preserving Gaussian elimination*, Math.
-    Comp. 22 (1968)) on rows kept as ``{col: poly}``.  A row written at step k
-    holds (k+1)-minors of the input and p_k, the k-th pivot (p_0 = 1), is a
-    k-minor, so each division below is exact and checked by ``pdivexact``.
+    untrimmed.  The indices are those of the pivot rows, in pivot order: the
+    elimination only subtracts pivot rows from other rows, so the input rows
+    at these indices span all the others.  This is Bareiss's elimination
+    (E. H. Bareiss, *Sylvester's identity and multistep integer-preserving
+    Gaussian elimination*, Math. Comp. 22 (1968)) on rows kept as
+    ``{col: poly}``.  A row written at step k holds (k+1)-minors of the
+    input and p_k, the k-th pivot (p_0 = 1), is a k-minor, so each division
+    below is exact and checked by ``pdivexact``.
 
     Columns are taken in order; the pivot is the candidate row with the fewest
     nonzeros, and only rows nonzero in the pivot column are updated.  Dense
@@ -100,7 +105,7 @@ def bareiss_rank(rows) -> int:
             live[i], step[i] = r, 0
             for c in r:
                 by_col.setdefault(c, set()).add(i)
-    pivots = [(1,)]
+    pivots, chosen = [(1,)], []
     for col in sorted(by_col):
         if not by_col[col]:
             continue
@@ -130,7 +135,8 @@ def bareiss_rank(rows) -> int:
                 by_col[c].add(j)
             live[j], step[j] = new, k + 1
         pivots.append(pv)
-    return len(pivots) - 1
+        chosen.append(i)
+    return chosen
 
 
 # -- the quantum Serre ideal slice --------------------------------------------------
@@ -152,13 +158,6 @@ def serre_generators(quiver: DynkinQuiver):
             else:
                 gens.append({(i, i, j): (0, 1), (i, j, i): (-1, 0, -1), (j, i, i): (0, 1)})
     return gens
-
-
-def _content(word, n):
-    beta = [0] * n
-    for letter in word:
-        beta[letter - 1] += 1
-    return tuple(beta)
 
 
 def _words(beta):
@@ -194,39 +193,37 @@ def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ..
     """Graded dimension of the free algebra mod the q-Serre ideal, per multidegree.
 
     Returns {beta: dim} for every multidegree with 1 <= |beta| <= maxdeg.
+    The ideal I is generated in degree at least 2, so with gens_beta the
+    generators of content beta,
+
+        I_beta = span(gens_beta) + sum_i (E_i I_(beta-alpha_i) + I_(beta-alpha_i) E_i).
+
+    Degrees are taken in increasing total degree, and each slice keeps, as
+    {word: poly}, the rows at the pivot indices bareiss_rank returns: a basis
+    of I_beta.  Every row is one u * gen * w, so it holds its generator's 2
+    or 3 coefficients and is never zero.
     """
     if maxdeg > MAX_DEGREE:
         raise DegreeTooLargeError(f"total degree {maxdeg} exceeds cap {MAX_DEGREE}")
-    n = quiver.n
-    gens = serre_generators(quiver)
+    kept: dict[tuple[int, ...], list] = {}
+    for gen in serre_generators(quiver):
+        word = next(iter(gen))
+        kept.setdefault(tuple(map(word.count, quiver.vertices)), []).append(gen)
     out: dict[tuple[int, ...], int] = {}
     for total in range(1, maxdeg + 1):
-        for beta in _multidegrees(n, total):
-            out[beta] = _slice_dim(quiver, gens, beta)
+        for beta in _multidegrees(quiver.n, total):
+            below = [
+                (i, r) for i in quiver.vertices
+                for r in kept.get(beta[:i - 1] + (beta[i - 1] - 1,) + beta[i:], ())
+            ]
+            # E_i r first: in lexicographic column order each fills only the
+            # words that start with i, and ties in the pivot choice go to the
+            # earlier row, so the elimination fills in less.
+            rows = [{(i,) + w: p for w, p in r.items()} for i, r in below]
+            rows += [{w + (i,): p for w, p in r.items()} for i, r in below]
+            rows += kept.pop(beta, [])
+            words = list(_words(beta))
+            pivots = bareiss_rank([[r.get(w, ()) for w in words] for r in rows])
+            kept[beta] = [rows[k] for k in pivots]
+            out[beta] = len(words) - len(pivots)
     return out
-
-
-def _slice_dim(quiver: DynkinQuiver, gens, beta) -> int:
-    """dim of the degree-beta slice: words minus the rank of u * gen * w rows.
-
-    Within one row the words u + mid + w are distinct, so each row holds its
-    generator's 2 or 3 coefficients and is never zero.
-    """
-    n = quiver.n
-    basis = sorted(_words(beta))
-    col = {w: k for k, w in enumerate(basis)}
-    rows = []
-    for gen in gens:
-        gamma = _content(next(iter(gen)), n)
-        rest = tuple(b - g for b, g in zip(beta, gamma))
-        if any(x < 0 for x in rest):
-            continue
-        for left_deg in product(*(range(r + 1) for r in rest)):
-            right_deg = tuple(r - l for r, l in zip(rest, left_deg))
-            for u in _words(left_deg):
-                for w in _words(right_deg):
-                    row = [()] * len(basis)
-                    for mid, poly in gen.items():
-                        row[col[u + mid + w]] = poly
-                    rows.append(row)
-    return len(basis) - bareiss_rank(rows)

@@ -14,6 +14,7 @@ Core claims:
     - a VWPair that the forms have read compares, hashes, orders and prints
       like an unread pair with the same (v, w), and its copies and pickles
       carry only (v, w): they pickle to the same bytes as the unread pair
+    - a VWPair never orders against another type: < raises TypeError
 """
 
 import copy
@@ -161,6 +162,14 @@ class TestVWPair:
         used, unused = self._used_and_unused()
         assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
         assert not used < unused and not unused < used
+
+    @pytest.mark.parametrize("other", FOREIGN, ids=repr)
+    def test_never_orders_against_a_foreign_value(self, other):
+        pair = VWPair({}, {})
+        with pytest.raises(TypeError):
+            pair < other
+        with pytest.raises(TypeError):
+            other < pair
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
