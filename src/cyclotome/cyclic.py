@@ -30,8 +30,9 @@ class CycIndex:
         self.two_h = 2 * self.h
         self.xi = dict(xi) if xi is not None else height_function(quiver)
         # Per-quiver invariants, each filled on first use: ("v_f", i),
-        # ("iota", slot), ("lifts", beta) and "cones" by dominance.py, and the
-        # generator pairs (name, i) by relations.py.
+        # ("iota", slot), ("lifts", beta) and "cones" by dominance.py, each
+        # read pair's ("residual", pair) and ("phi", pair) by forms.py, and
+        # the generator pairs (name, i) by relations.py; see stored().
         self.tables: dict = {}
 
         self.i_hat: set[Vertex] = set()
@@ -65,6 +66,13 @@ class CycIndex:
         for v, w in self.shift_vertex_map.items():
             if self.shift_vertex_map[w] != v:
                 raise IndexInvariantError("shift involution broken")
+
+    def stored(self, key, build):
+        """tables[key], built by calling build() on first use."""
+        value = self.tables.get(key)
+        if value is None:
+            value = self.tables[key] = build()
+        return value
 
     # -- vertex maps --
 

@@ -12,6 +12,7 @@ and can be cross-checked against a capped brute-force search.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 from .cyclic import CycIndex, Vertex
@@ -48,12 +49,11 @@ class LiftInvariantError(RuntimeError):
 class VWPair:
     """A pair of finitely supported nonnegative vectors (v, w).
 
-    ``_terms`` is None until the forms read the pair, then the list
-    [index, w - C_q v, Phi(w)] for the last index it was read with; it takes
-    no part in equality, hashing, ordering, repr, copies or pickles.
+    What the forms derive from a pair, its residual and Phi(w), is kept in
+    index.tables under ("residual", pair) and ("phi", pair), not on the pair.
     """
 
-    __slots__ = ("v", "w", "_key", "_terms")
+    __slots__ = ("v", "w", "_key")
 
     def __init__(self, v: dict[Vertex, int], w: dict[Vertex, int]):
         self.v = canon(v)
@@ -61,10 +61,6 @@ class VWPair:
         if any(c < 0 for c in self.v.values()) or any(c < 0 for c in self.w.values()):
             raise ValueError("VWPair entries must be nonnegative")
         self._key = (tuple(self.v.items()), tuple(self.w.items()))
-        self._terms = None
-
-    def __reduce__(self):
-        return VWPair, (self.v, self.w)
 
     def __eq__(self, other):
         return isinstance(other, VWPair) and self._key == other._key
@@ -310,19 +306,22 @@ def positive_roots(index_or_ar) -> list[tuple[int, ...]]:
 
 
 def kostant_multisets(index_or_ar, beta: tuple[int, ...]):
-    """Yield every multiset of positive roots summing to beta, as root lists."""
+    """Yield every multiset of positive roots summing to beta, as root lists,
+    in lexicographic order of root positions.  Each recursion level takes
+    one root, with its multiplicity from high to low: depth <= |Phi+| + 1."""
     roots = positive_roots(index_or_ar)
 
     def rec(remaining, start):
-        if all(x == 0 for x in remaining):
+        if not any(remaining):
             yield []
             return
         for idx in range(start, len(roots)):
-            r = roots[idx]
-            if all(a >= b for a, b in zip(remaining, r)):
-                rest = tuple(a - b for a, b in zip(remaining, r))
-                for tail in rec(rest, idx):
-                    yield [r] + tail
+            r, rests = roots[idx], [remaining]  # rests[k] = remaining - k r
+            while min(rest := tuple(map(operator.sub, rests[-1], r))) >= 0:
+                rests.append(rest)
+            for mult in range(len(rests) - 1, 0, -1):
+                for tail in rec(rests[mult], idx + 1):
+                    yield [r] * mult + tail
 
     yield from rec(tuple(beta), 0)
 
@@ -346,9 +345,10 @@ def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
         key = (remaining, start)
         if key not in memo:
             r = roots[start]
-            total = count(remaining, start + 1)
-            if all(a >= b for a, b in zip(remaining, r)):
-                total += count(tuple(a - b for a, b in zip(remaining, r)), start)
+            total, rest = 0, remaining
+            while min(rest) >= 0:
+                total += count(rest, start + 1)
+                rest = tuple(map(operator.sub, rest, r))
             memo[key] = total
         return memo[key]
 

@@ -79,25 +79,15 @@ def rescale_exponent_lusztig(index: CycIndex, w: dict[Vertex, int]) -> HalfInt:
 
 # -- the d form -----------------------------------------------------------------
 
-_RESIDUAL, _PHI = 1, 2
-
-
-def _term(index: CycIndex, pair: VWPair, k: int):
-    """Term k of the pair's record [index, w - C_q v, Phi(w)], computed on
-    first read.  A pair read with another index starts a new record: Phi
-    depends on the index's section, so the index is compared by identity."""
-    terms = pair._terms
-    if terms is None or terms[0] is not index:
-        terms = pair._terms = [index, None, None]
-    if terms[k] is None:
-        terms[k] = residual(index, pair) if k == _RESIDUAL else phi(index, pair.w)
-    return terms[k]
-
-
 def pair_residual(index: CycIndex, pair: VWPair) -> dict[Vertex, int]:
-    """w - C_q v as the pair keeps it for this index: shared, not to be mutated
-    (dominance.residual returns a fresh dict)."""
-    return _term(index, pair, _RESIDUAL)
+    """w - C_q v, computed once per pair and index and kept in index.tables:
+    shared, not to be mutated (dominance.residual returns a fresh dict)."""
+    return index.stored(("residual", pair), lambda: residual(index, pair))
+
+
+def _pair_phi(index: CycIndex, pair: VWPair) -> GradedClass:
+    """Phi(w) of a pair, computed once per pair and index and kept in index.tables."""
+    return index.stored(("phi", pair), lambda: phi(index, pair.w))
 
 
 def d_form(index: CycIndex, m1: VWPair, m2: VWPair) -> int:
@@ -126,7 +116,7 @@ def leading_exponent(index: CycIndex, m1: VWPair, m2: VWPair) -> HalfInt:
     d(m2,m1) - d(m1,m2) + 1/2 <Phi(w2), Phi(w1)>_a."""
     return HalfInt(
         2 * leading_exponent_tilde(index, m1, m2)
-        + euler_a(index, _term(index, m2, _PHI), _term(index, m1, _PHI))
+        + euler_a(index, _pair_phi(index, m2), _pair_phi(index, m1))
     )
 
 

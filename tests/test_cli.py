@@ -60,6 +60,12 @@ class TestSubcommands:
         assert out.startswith("digraph")
         assert "alpha1" in out and "beta1" in out
 
+    def test_enumerate_a_large_multiplicity(self, capsys):
+        # one Kostant multiset of 1500 copies of alpha_1, hence one solution
+        code, out = run(capsys, "enumerate", "--type", "A3", "--w", "sigma(S1)=1500")
+        assert code == 0
+        assert "1 l-dominant v:" in out
+
     def test_enumerate(self, capsys):
         code, out = run(
             capsys, "enumerate", "--type", "A2", "--w", "sigma(S1)=1,sigma(S2)=1",

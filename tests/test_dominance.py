@@ -9,7 +9,12 @@ Core claims:
     - enumerate_l_dominant is complete (brute-force check) and counts follow
       Kostant partitions on the W^S sector
     - solve_w_tilde is the unique V+ x W^S lift (brute-force check)
+    - the Kostant recursions go one level per root, not one per root copy:
+      a multiplicity of 1500 neither overflows the stack nor changes the
+      order in which the multisets come out
 """
+
+from itertools import product
 
 import pytest
 
@@ -28,6 +33,7 @@ from cyclotome import (
     kostant_multisets,
     kostant_partitions,
     orient,
+    positive_roots,
     residual,
     solve_w_tilde,
     solve_w_tilde_bruteforce,
@@ -248,6 +254,34 @@ class TestKostant:
         count = kostant_partitions(idx, (1, 1, 1, 1))
         by_hand = len(list(kostant_multisets(idx, (1, 1, 1, 1))))
         assert count == by_hand
+
+    def test_a_large_multiplicity(self):
+        idx = build_index(orient("A3", "linear"))
+        assert kostant_partitions(idx, (1500, 0, 0)) == 1
+        assert list(kostant_multisets(idx, (1500, 0, 0))) == [[(1, 0, 0)] * 1500]
+
+    @pytest.mark.parametrize("t", ["A3", "A4", "D4"])
+    def test_yield_order_is_the_one_copy_per_level_recursion(self, t):
+        idx = build_index(orient(t, "alternating"))
+        roots = positive_roots(idx)
+
+        def one_copy_per_level(remaining, start):
+            """The recursion kostant_multisets had before: one level per root
+            copy, so its depth grows with the multiplicities."""
+            if all(x == 0 for x in remaining):
+                yield []
+                return
+            for k in range(start, len(roots)):
+                r = roots[k]
+                if all(a >= b for a, b in zip(remaining, r)):
+                    rest = tuple(a - b for a, b in zip(remaining, r))
+                    for tail in one_copy_per_level(rest, k):
+                        yield [r] + tail
+
+        for beta in product(range(4), repeat=idx.quiver.n):
+            reference = list(one_copy_per_level(beta, 0))
+            assert list(kostant_multisets(idx, beta)) == reference, beta
+            assert kostant_partitions(idx, beta) == len(reference), beta
 
 
 # == 6. enumeration ======================================================================

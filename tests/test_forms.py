@@ -8,9 +8,10 @@ Core claims:
     - script-N and the height-signed form agree on lifted modules
     - script-N equals the twisted leading exponent on every pair, l-dominant
       or not, since <,>_a is antisymmetric
-    - the residual and Phi that a pair keeps belong to one index: read with
-      another index (same I-hat, another section), the pair gives the values
-      of a fresh copy; and residual hands out a copy that d never sees
+    - the residual and Phi that index.tables keeps for a pair belong to that
+      index: read with another index (same I-hat, another section), the pair
+      gives the values of a fresh copy; and residual hands out a copy that d
+      never sees
 """
 
 import random
@@ -212,7 +213,7 @@ class TestLeadingExponents:
         assert diff == HalfInt.of(2)  # a_11
 
 
-# == 6. the terms a pair keeps ==================================================================
+# == 6. the terms an index keeps per pair ========================================================
 
 def fresh(pair):
     return VWPair(pair.v, pair.w)

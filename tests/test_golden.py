@@ -2,9 +2,9 @@
 
 Core claims:
     - each subcommand below prints exactly the bytes stored in tests/golden/
-    - ``verify all --json`` on D4 (mass cap 3) and E6 (mass cap 1), alternating,
-      prints output with the SHA-256 digests pinned below (the outputs are
-      141 KB and 361 KB, so only their digests are kept)
+    - ``verify all --json`` on D4 (mass cap 3) and E6 (mass caps 1 and 4),
+      alternating, prints output with the SHA-256 digests pinned below (the
+      outputs are 141 KB and 361 KB, so only their digests are kept)
     - every script under demos/ runs to completion with exit code 0
 
 To refresh a golden file after an intended output change, run the case's argv
@@ -60,6 +60,7 @@ def test_cli_matches_golden(name, capsys):
 DIGESTS = {
     ("D4", "3"): "8e194bc0f8d70b5efcf29d8b39329b13ad1df324fb36c40309ca3e642422cd31",
     ("E6", "1"): "e72af0231a239ddbfb265fdc20f31bfd86cbce200c0a8970407f1a0f16dda922",
+    ("E6", "4"): "826e376045e1804f477b871e9d0335d3eb3650f8bca3015c11fa1c75ed67e2b9",
 }
 
 

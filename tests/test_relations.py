@@ -9,13 +9,22 @@ Core claims:
       that relation
     - no verifier passes vacuously: serre on i = i and same-form on a quiver
       with one module raise CaseMismatchError
+    - same-n evaluates only pairs drawn from a basis of its pool, which
+      bareiss_rank picks: its verdict is that of the full loop over all N^2
+      ordered pairs, the basis has the rank the Fraction RREF gives, a
+      perturbed hl_form is caught with real failing pairs, and both sides
+      of the identity are bilinear off the l-dominant pairs too
 """
 
 import json
+import random
+from itertools import product
 
 import pytest
 
+from cyclotome import forms
 from cyclotome import (
+    VWPair,
     RELATIONS,
     build_index,
     all_orientations,
@@ -31,8 +40,13 @@ from cyclotome import (
     verify_same_n,
     verify_serre,
 )
+from cyclotome.dominance import enumerate_l_dominant, is_l_dominant, residual, sigma_simples
+from cyclotome.forms import hl_extension, script_n
 from cyclotome.laurent import HalfInt
+from cyclotome.reflections import matrix_rank
 from cyclotome.relations import CaseMismatchError
+from cyclotome.serre import bareiss_rank
+from cyclotome.vectors import add, scale
 
 
 def check_value(report, name):
@@ -191,6 +205,100 @@ class TestSection5:
         with pytest.raises(CaseMismatchError):
             verify_same_form(idx)
         assert verify(idx, "same-form") == []
+
+
+def same_n_pool(idx, mass_cap):
+    """Every l-dominant pair in V+ x W^S of mass <= mass_cap, as same-n draws them."""
+    verts = list(idx.quiver.vertices)
+    pool = []
+    for masses in product(range(mass_cap + 1), repeat=len(verts)):
+        if sum(masses) <= mass_cap:
+            w = {sigma_simples(idx, i)[0]: m for i, m in zip(verts, masses) if m}
+            pool += [VWPair(v, w) for v in enumerate_l_dominant(idx, w)]
+    return pool
+
+
+def vw_rows(pool):
+    """Each pair's (v, w) coordinates as an integer row over their sorted union."""
+    coords = sorted({x for m in pool for x in (*m.v, *m.w)})
+    return [[m.v.get(x, 0) + m.w.get(x, 0) for x in coords] for m in pool]
+
+
+def same_n_holds(idx, m1, m2):
+    rhs = HalfInt(hl_extension(idx, residual(idx, m1), residual(idx, m2)))
+    return script_n(idx, m1, m2) == rhs
+
+
+SAME_N_CASES = [
+    (t, o, cap)
+    for t, cap in (("A2", 3), ("A3", 3), ("A4", 3), ("D4", 3), ("E6", 3))
+    for o in ("linear", "alternating")
+]
+
+
+class TestSameNCertificate:
+    @pytest.mark.parametrize("t,o,cap", SAME_N_CASES)
+    def test_basis_verdict_is_the_full_loops(self, t, o, cap):
+        idx = build_index(orient(t, o))
+        pool = same_n_pool(idx, cap)
+        rep = verify_same_n(idx, cap)
+        assert [c.name for c in rep.checks] == [
+            f"identity holds on all {len(pool)}^2 ordered pairs"
+        ]
+        assert rep.passed
+        assert all(same_n_holds(idx, m1, m2) for m1 in pool for m2 in pool)
+        rows = vw_rows(pool)
+        basis = bareiss_rank([[(x,) for x in row] for row in rows])
+        assert len(basis) == matrix_rank(rows) < len(pool)
+
+    def test_a_perturbed_hl_form_fails_on_real_pairs(self, monkeypatch):
+        idx = build_index(orient("A3", "alternating"))
+        m0, n0 = idx.ar.modules[0], idx.ar.modules[1]
+        honest = forms.hl_form
+
+        def perturbed(index, m, n):
+            return honest(index, m, n) + ((m, n) == (m0, n0))
+
+        monkeypatch.setattr(forms, "hl_form", perturbed)
+        rep = verify_same_n(idx, 3)
+        assert not rep.passed
+        failures = rep.checks[0].computed
+        pool = same_n_pool(idx, 3)
+        assert failures and len(failures) < len(pool) ** 2
+        for m1, m2, lhs, rhs in failures:
+            assert m1 in pool and m2 in pool
+            assert lhs == script_n(idx, m1, m2)
+            assert rhs == HalfInt(hl_extension(idx, residual(idx, m1), residual(idx, m2)))
+            assert not same_n_holds(idx, m1, m2)
+
+    @pytest.mark.parametrize("t", ["A3", "D4"])
+    def test_both_sides_are_bilinear(self, t):
+        idx = build_index(orient(t, "alternating"))
+        pool = same_n_pool(idx, 3)
+        rng = random.Random(4096)
+
+        def combination():
+            """Seeded terms (c, part), each part the v half or the w half of a
+            pool pair, and their sum: a pair that is mostly not l-dominant."""
+            terms = [(rng.randint(1, 3), VWPair(m.v, {})) for m in rng.sample(pool, 3)]
+            terms += [(1, VWPair({}, rng.choice(pool).w))]
+            total = VWPair(
+                add(*(scale(p.v, c) for c, p in terms)), add(*(scale(p.w, c) for c, p in terms))
+            )
+            return terms, total
+
+        not_dominant = 0
+        for _ in range(20):
+            (t1, x1), (t2, x2) = combination(), combination()
+            not_dominant += not is_l_dominant(idx, x1)
+            lhs = sum(c1 * c2 * script_n(idx, p1, p2).twice for c1, p1 in t1 for c2, p2 in t2)
+            assert script_n(idx, x1, x2).twice == lhs
+            rhs = sum(
+                c1 * c2 * hl_extension(idx, residual(idx, p1), residual(idx, p2))
+                for c1, p1 in t1 for c2, p2 in t2
+            )
+            assert hl_extension(idx, residual(idx, x1), residual(idx, x2)) == rhs
+        assert not_dominant > 10
 
 
 # == 6. the dictionary and the driver ===================================================

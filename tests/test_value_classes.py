@@ -11,9 +11,10 @@ Core claims:
       unhashable; every report starts with its own empty list of checks
     - each repr names the class and its fields as keywords
     - copy, deepcopy and pickle give back an equal value
-    - a VWPair that the forms have read compares, hashes, orders and prints
+    - the forms keep what they derive from a VWPair in index.tables, not on
+      the pair: a pair they have read compares, hashes, orders and prints
       like an unread pair with the same (v, w), and its copies and pickles
-      carry only (v, w): they pickle to the same bytes as the unread pair
+      pickle to the same bytes as the unread pair
     - a VWPair never orders against another type: < raises TypeError
 """
 
