@@ -30,7 +30,9 @@ class CycIndex:
         self.two_h = 2 * self.h
         self.xi = dict(xi) if xi is not None else height_function(quiver)
         # Per-quiver invariants, each filled on first use: ("v_f", i),
-        # ("iota", slot), ("lifts", beta) and "cones" by dominance.py, each
+        # ("iota", slot) and "cones" by dominance.py, with its enumeration
+        # data over one dense order of sigma-I-hat: "dense order",
+        # ("dense v_f", i), ("lift row", slot) and ("lifts", beta); each
         # read pair's ("residual", pair) and ("phi", pair) by forms.py, and
         # the generator pairs (name, i) by relations.py; see stored().
         self.tables: dict = {}

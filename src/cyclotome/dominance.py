@@ -13,7 +13,7 @@ and can be cross-checked against a capped brute-force search.
 from __future__ import annotations
 
 import operator
-from itertools import product
+from itertools import chain, compress, product
 
 from .cyclic import CycIndex, Vertex
 from .derived import DerivedObject, Slot
@@ -357,29 +357,88 @@ def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
 
 # -- enumeration --------------------------------------------------------------------
 
-def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[dict[Vertex, int], ...]:
-    """All v with (v, sum beta_i e_{sigma S_i}) l-dominant: one per Kostant multiset.
+def _dense_order(index: CycIndex) -> tuple[tuple[Vertex, ...], dict[Vertex, int], int]:
+    """(order, position of each vertex, |V+|): sigma-I-hat in one fixed order.
 
-    Built once per beta and kept on the index; callers must not mutate the
-    vectors."""
-    stored = index.tables.get(("lifts", beta))
-    if stored is not None:
-        return stored
-    out = []
-    seen = set()
-    for multiset in kostant_multisets(index, beta):
-        slot_counts: dict[Slot, int] = {}
-        for r in multiset:
-            slot = index.ar.slot_of_root[r]
-            slot_counts[slot] = slot_counts.get(slot, 0) + 1
-        pair = iota_additive(index, slot_counts.items())
-        key = tuple(pair.v.items())
-        if key in seen:
+    V+ sorted, then V- as the shift image of V+ in the same order, then the
+    injective vertices sorted and their shift images, so the shift swaps the
+    first two blocks and the last two.  Kept on the index."""
+
+    def build():
+        plus, inj = [], []  # V+: the non-injective module vertices
+        for s in index.ar.modules:
+            (inj if index.ar.is_injective(s) else plus).append(index.vertex_of_slot[s])
+        plus.sort()
+        inj.sort()
+        shift = index.shift_vertex
+        order = tuple(plus + [shift(x) for x in plus] + inj + [shift(x) for x in inj])
+        return order, {x: k for k, x in enumerate(order)}, len(plus)
+
+    return index.stored("dense order", build)
+
+
+def _dense_cartan(index: CycIndex, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(v^f_i, v^Sigma f_i) as tuples over the dense order, kept on the index."""
+
+    def build():
+        order = _dense_order(index)[0]
+        vecs = v_f(index, i), v_sigma_f(index, i)
+        return tuple(tuple(vec.get(x, 0) for x in order) for vec in vecs)
+
+    return index.stored(("dense v_f", i), build)
+
+
+def _lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
+    """iota_V of a module as a tuple over V+, kept on the index."""
+
+    def build():
+        _, pos, p = _dense_order(index)
+        row = [0] * p
+        for x, c in iota(index, slot).v.items():
+            if pos[x] >= p:
+                raise LiftInvariantError("lift left V+")
+            row[pos[x]] = c
+        return tuple(row)
+
+    return index.stored(("lift row", slot), build)
+
+
+def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All v with (v, sum beta_i e_{sigma S_i}) l-dominant, one per Kostant
+    multiset, as tuples over V+ in the dense order.
+
+    A recursion takes the non-simple roots one at a time, with every
+    multiplicity that still fits; what is left is a sum of simple roots,
+    which it covers in one way only, so every branch ends in a lift.  Built
+    once per beta and kept on the index."""
+
+    def build():
+        ar = index.ar
+        roots = [r for r in positive_roots(ar) if sum(r) > 1]
+        simples = [ar.simple[i] for i in index.quiver.vertices]
+        out = []
+
+        def rec(remaining, k, acc):
+            if k == len(roots):
+                for slot, c in zip(simples, remaining):
+                    if c:
+                        acc = tuple(a + c * x for a, x in zip(acc, _lift_row(index, slot)))
+                out.append(acc)
+                return
+            r = roots[k]
+            while True:
+                rec(remaining, k + 1, acc)
+                remaining = tuple(map(operator.sub, remaining, r))
+                if min(remaining) < 0:
+                    return
+                acc = tuple(map(operator.add, acc, _lift_row(index, ar.slot_of_root[r])))
+
+        rec(beta, 0, (0,) * _dense_order(index)[2])
+        if len(set(out)) != len(out):
             raise EnumerationMismatchError("two Kostant multisets lifted to one v")
-        seen.add(key)
-        out.append(pair.v)
-    stored = index.tables[("lifts", beta)] = tuple(out)
-    return stored
+        return tuple(out)
+
+    return index.stored(("lifts", beta), build)
 
 
 def enumerate_l_dominant(
@@ -388,8 +447,9 @@ def enumerate_l_dominant(
     """The complete set {v >= 0 : w - C_q v >= 0} for w in W^S + W^SigmaS.
 
     Walks the triangular structure (Kostant lifts on both wings, free Cartan
-    coefficients in the middle) and optionally cross-checks a capped
-    brute-force search; a mismatch raises EnumerationMismatchError.
+    coefficients in the middle) on tuples over the dense order, and optionally
+    cross-checks a capped brute-force search; a mismatch raises
+    EnumerationMismatchError.
     """
     co = cones(index)
     w = canon(w)
@@ -404,35 +464,45 @@ def enumerate_l_dominant(
         s, ss = sigma_simples(index, i)
         m[i], mp[i] = w.get(s, 0), w.get(ss, 0)
 
-    results: set[tuple] = set()
+    order, _, p = _dense_order(index)
+    tail = (0,) * (len(order) - 2 * p)
+    # Each solution is kept as the flat (rank, value) pairs of its nonzero
+    # coordinates, ranked in sorted vertex order; these sort as the sparse
+    # item tuples do.
+    ranked = sorted(range(len(order)), key=order.__getitem__)
+    by_vertex, ranks = operator.itemgetter(*ranked), range(len(order))
+
+    def flat(s):
+        return tuple(chain.from_iterable(compress(zip(ranks, s), s)))
+
+    results: set[tuple[int, ...]] = set()
     expected = 0
-    vf = {i: v_f(index, i) for i in verts}
-    vsf = {i: v_sigma_f(index, i) for i in verts}
     for c in product(*(range(min(m[i], mp[i]) + 1) for i in verts)):
-        cmap = dict(zip(verts, c))
-        beta_p = tuple(m[i] - cmap[i] for i in verts)
-        beta_m = tuple(mp[i] - cmap[i] for i in verts)
-        plus_vs = _module_lift_vs(index, beta_p)
-        minus_vs = [index.shift_pullback(v) for v in _module_lift_vs(index, beta_m)]
-        cartan_vs = []
-        for bs in product(*(range(cmap[i] + 1) for i in verts)):
-            bmap = dict(zip(verts, bs))
-            cartan_vs.append(
-                add(
-                    *[scale(vf[i], bmap[i]) for i in verts],
-                    *[scale(vsf[i], cmap[i] - bmap[i]) for i in verts],
-                )
-            )
-        expected += len(plus_vs) * len(minus_vs) * len(cartan_vs)
-        for vp in plus_vs:
-            for vm in minus_vs:
-                for v0 in cartan_vs:
-                    results.add(tuple(add(vp, v0, vm).items()))
+        plus_vs = _module_lift_vs(index, tuple(m[i] - ci for i, ci in zip(verts, c)))
+        minus_vs = _module_lift_vs(index, tuple(mp[i] - ci for i, ci in zip(verts, c)))
+        cartan_vs = None  # None: only the zero vector
+        for i, ci in zip(verts, c):
+            if ci:
+                vf, vsf = map(by_vertex, _dense_cartan(index, i))
+                terms = [
+                    tuple(b * x + (ci - b) * y for x, y in zip(vf, vsf)) for b in range(ci + 1)
+                ]
+                cartan_vs = terms if cartan_vs is None else [
+                    tuple(map(operator.add, v0, t)) for v0 in cartan_vs for t in terms
+                ]
+        expected += len(plus_vs) * len(minus_vs) * (len(cartan_vs) if cartan_vs else 1)
+        # the V- block of a minus-wing lift is its shift pullback
+        wings = (by_vertex(vp + vm + tail) for vp in plus_vs for vm in minus_vs)
+        if cartan_vs is None:
+            results.update(map(flat, wings))
+        else:
+            results.update(flat(tuple(map(operator.add, v, v0))) for v in wings for v0 in cartan_vs)
     if len(results) != expected:
         raise EnumerationMismatchError(
             f"triangular enumeration produced {len(results)} != {expected} pairs"
         )
-    out = [dict(items) for items in sorted(results)]
+    vertex_at = [order[k] for k in ranked].__getitem__
+    out = [dict(zip(map(vertex_at, f[0::2]), f[1::2])) for f in sorted(results)]
     if verify:
         brute = enumerate_l_dominant_bruteforce(index, w)
         if brute != out:
@@ -442,74 +512,93 @@ def enumerate_l_dominant(
     return out
 
 
+def _capped_search(index: CycIndex, coords, start: dict, sign: int, cap: int, zero=()):
+    """Every v on coords, each value at most cap, with r = start + sign * C_q v
+    nonnegative on I-hat and zero on the rows in `zero`; a list of (v, r).
+
+    Coordinates are filled depth-first in height order, and r is updated from
+    each coordinate's C_q column as values are assigned.  A row of r is
+    settled once no unassigned coordinate can raise it (a row in `zero`: once
+    none can change it), and a partial assignment is pruned as soon as a
+    settled row is negative, or is in `zero` and nonzero.
+    """
+    coords = sorted(coords, key=lambda v: (v[1], v[0]))
+    rows = sorted(index.i_hat)
+    row_pos = {y: k for k, y in enumerate(rows)}
+    cols = [
+        [(row_pos[y], sign * c) for y, c in index.q_cartan_apply({x: 1}).items()]
+        for x in coords
+    ]
+    strict = [y in zero for y in rows]
+    settled_after = [-1] * len(rows)
+    for k, col in enumerate(cols):
+        for y, c in col:
+            if c > 0 or strict[y]:
+                settled_after[y] = k
+    # done[k]: the settled rows that coords[k] changes, with its entry there;
+    # once such a row fails and moves away as the value grows, stop
+    done = [[(y, c) for y, c in col if settled_after[y] <= k] for k, col in enumerate(cols)]
+
+    r = [start.get(y, 0) for y in rows]
+    if any(r[y] < 0 or r[y] and strict[y] for y in range(len(rows)) if settled_after[y] < 0):
+        return []
+    found = []
+    assignment = [0] * len(coords)
+
+    def rec(k: int):
+        if k == len(coords):
+            v = {x: a for x, a in zip(coords, assignment) if a}
+            found.append((v, {rows[y]: c for y, c in enumerate(r) if c}))
+            return
+        col = cols[k]
+        value = 0
+        while value <= cap:
+            if not any(r[y] < 0 or r[y] and strict[y] for y, _ in done[k]):
+                assignment[k] = value
+                rec(k + 1)
+            elif any(r[y] < 0 > c or r[y] > 0 < c and strict[y] for y, c in done[k]):
+                break
+            value += 1
+            for y, c in col:
+                r[y] += c
+        for y, c in col:
+            r[y] -= c * value
+        assignment[k] = 0
+
+    rec(0)
+    return found
+
+
 def enumerate_l_dominant_bruteforce(
     index: CycIndex, w: dict[Vertex, int], cap: int | None = None
 ) -> list[dict[Vertex, int]]:
     """Capped depth-first search for {v : w - C_q v >= 0}; verification oracle.
 
-    Coordinates are filled in height order; a partial assignment is pruned as
-    soon as some w - C_q v coordinate is negative and no unassigned coordinate
-    can raise it (only the adjacent-vertex contributions are positive).
+    The search updates the slack w - C_q v per coordinate and prunes once a
+    slack coordinate is negative and no unassigned coordinate can raise it
+    (only the adjacent-vertex contributions are positive).
     """
+    index.assert_w_vector(w)
     w = canon(w)
     if cap is None:
         cap = sum(w.values()) * index.h
-    coords = sorted(index.sigma_i_hat, key=lambda v: (v[1], v[0]))
-    order_pos = {v: k for k, v in enumerate(coords)}
-
-    # raisers[y]: v-coordinates that increase (w - C_q v)(y); only adjacency
-    # terms do, so once they are all assigned a negative slack is final.
-    raisers: dict[Vertex, list[Vertex]] = {y: [] for y in index.i_hat}
-    for x in coords:
-        for y, val in index.q_cartan_apply({x: 1}).items():
-            if val < 0:
-                raisers[y].append(x)
-    last_raiser: dict[Vertex, int] = {
-        y: max((order_pos[x] for x in xs), default=-1) for y, xs in raisers.items()
-    }
-
-    solutions: list[dict[Vertex, int]] = []
-    assignment: dict[Vertex, int] = {}
-
-    def slack(partial_v) -> dict[Vertex, int]:
-        return sub(w, index.q_cartan_apply(partial_v))
-
-    def rec(pos: int):
-        res = slack(assignment)
-        for y, val in res.items():
-            if val < 0 and last_raiser[y] < pos:
-                return
-        if pos == len(coords):
-            if all(val >= 0 for val in res.values()):
-                solutions.append(dict(assignment))
-            return
-        x = coords[pos]
-        for value in range(cap + 1):
-            if value:
-                assignment[x] = value
-            rec(pos + 1)
-        assignment.pop(x, None)
-
-    rec(0)
-    return canonical_order(solutions)
+    return canonical_order(v for v, _ in _capped_search(index, index.sigma_i_hat, w, -1, cap))
 
 
 def solve_w_tilde_bruteforce(
     index: CycIndex, wtilde: dict[Vertex, int], cap: int | None = None
 ) -> list[VWPair]:
-    """All (v, w) in V+ x W^S with w - C_q v = wtilde, v capped coordinatewise."""
+    """All (v, w) in V+ x W^S with w - C_q v = wtilde, v capped coordinatewise.
+
+    The search over V+ updates w = wtilde + C_q v per coordinate and prunes
+    once a coordinate of w is negative and no unassigned coordinate can raise
+    it, or is nonzero outside W^S and no unassigned coordinate can change it.
+    """
     co = cones(index)
     wtilde = canon(wtilde)
     if cap is None:
         cap = sum(wtilde.values()) * index.h
-    v_coords = sorted(co.v_plus)
-    found = []
-    for values in product(range(cap + 1), repeat=len(v_coords)):
-        v = {x: val for x, val in zip(v_coords, values) if val}
-        w = add(wtilde, index.q_cartan_apply(v))
-        if any(c < 0 for c in w.values()):
-            continue
-        if any(k not in co.w_s for k in w):
-            continue
-        found.append(VWPair(v, w))
-    return sorted(found)
+    if any(y not in index.i_hat for y in wtilde):
+        return []  # such a coordinate of w is nonzero outside W^S
+    found = _capped_search(index, co.v_plus, wtilde, 1, cap, index.i_hat - co.w_s)
+    return sorted(VWPair(v, w) for v, w in found)

@@ -66,6 +66,14 @@ class TestSubcommands:
         assert code == 0
         assert "1 l-dominant v:" in out
 
+    def test_enumerate_two_large_multiplicities(self, capsys):
+        # one lift per multiplicity 0..700 of alpha_1 + alpha_2; the lifts
+        # never walk a multiset that cannot be completed
+        code, out = run(capsys, "enumerate", "--type", "A3", "--w",
+                        "sigma(S1)=1000,sigma(S2)=700")
+        assert code == 0
+        assert "701 l-dominant v:" in out
+
     def test_enumerate(self, capsys):
         code, out = run(
             capsys, "enumerate", "--type", "A2", "--w", "sigma(S1)=1,sigma(S2)=1",

@@ -12,9 +12,14 @@ Core claims:
     - the Kostant recursions go one level per root, not one per root copy:
       a multiplicity of 1500 neither overflows the stack nor changes the
       order in which the multisets come out
+    - the lifts of beta that the enumerator keeps on the index are the iota
+      images of the Kostant multisets of beta, one per multiset
+    - the brute-force searches, which update their slack per coordinate and
+      prune, find what a full capped product finds
 """
 
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -42,6 +47,7 @@ from cyclotome import (
     v_sigma_f,
     w_f,
 )
+from cyclotome import dominance
 from cyclotome.dominance import iota_additive
 from cyclotome.vectors import add, canonical_order
 
@@ -56,6 +62,13 @@ def a2():
 
 def vertex_of(idx, name_slot):
     return idx.vertex_of_slot[name_slot]
+
+
+def weights(basis, top):
+    """Every sum of at most `top` basis vectors, as sparse vectors."""
+    for mass in range(top + 1):
+        for picks in combinations_with_replacement(basis, mass):
+            yield dict(Counter(picks))
 
 
 # == 1. Cartan vectors =============================================================
@@ -224,6 +237,27 @@ class TestSolve:
                 sols = solve_w_tilde_bruteforce(idx, wt)
                 assert sols == [solve_w_tilde(idx, wt)]
 
+    @pytest.mark.parametrize("t,top", [("A3", 5), ("A4", 3)])
+    def test_uniqueness_beyond_criterion_5(self, t, top):
+        idx = build_index(orient(t, "linear"))
+        for wt in weights(sorted(cones(idx).w_plus), top):
+            assert solve_w_tilde_bruteforce(idx, wt) == [solve_w_tilde(idx, wt)], wt
+
+    @pytest.mark.parametrize("t", ["A2", "A3"])
+    def test_pruned_search_is_the_full_product(self, t):
+        idx = build_index(orient(t, "linear"))
+        co = cones(idx)
+        v_coords = sorted(co.v_plus)
+        for wt in weights(sorted(idx.i_hat), 2):
+            cap = sum(wt.values()) * idx.h
+            full = []
+            for values in product(range(cap + 1), repeat=len(v_coords)):
+                v = {x: val for x, val in zip(v_coords, values) if val}
+                w = add(wt, idx.q_cartan_apply(v))
+                if all(c >= 0 for c in w.values()) and all(k in co.w_s for k in w):
+                    full.append(VWPair(v, w))
+            assert solve_w_tilde_bruteforce(idx, wt) == sorted(full), wt
+
 
 # == 5. Kostant partitions ===============================================================
 
@@ -372,8 +406,38 @@ class TestEnumerate:
                 )
                 assert len(enumerate_l_dominant(idx, w)) == total
 
+    @pytest.mark.parametrize("t,cap", [("A2", 2), ("A3", 1)])
+    def test_brute_force_is_the_full_capped_product(self, t, cap):
+        idx = build_index(orient(t, "linear"))
+        coords = sorted(idx.sigma_i_hat)
+        residuals = []
+        for values in product(range(cap + 1), repeat=len(coords)):
+            v = {x: val for x, val in zip(coords, values) if val}
+            residuals.append((v, idx.q_cartan_apply(v)))
+        for w in weights(sorted(idx.i_hat), 2):
+            full = [v for v, cv in residuals if all(w.get(y, 0) >= c for y, c in cv.items())]
+            assert enumerate_l_dominant_bruteforce(idx, w, cap) == canonical_order(full), w
 
-# == 7. composite lifts ===================================================================
+
+# == 7. the stored lifts =================================================================
+
+@pytest.mark.parametrize("t,top", [("A3", 2), ("A4", 2), ("D4", 2), ("E6", 1)])
+def test_stored_lifts_are_the_kostant_lifts(t, top):
+    idx = build_index(orient(t, "alternating"))
+    ar = idx.ar
+    order, _, _ = dominance._dense_order(idx)
+    for beta in product(range(top + 1), repeat=ar.quiver.n):
+        stored = dominance._module_lift_vs(idx, beta)
+        got = {tuple(sorted((order[k], c) for k, c in enumerate(v) if c)) for v in stored}
+        want = {
+            tuple(iota_additive(idx, Counter(ar.slot_of_root[r] for r in m).items()).v.items())
+            for m in kostant_multisets(idx, beta)
+        }
+        assert got == want, beta
+        assert len(stored) == len(got) == kostant_partitions(idx, beta), beta
+
+
+# == 8. composite lifts ===================================================================
 
 def test_iota_additive_matches_residual():
     idx = build_index(orient("A3", "linear"))

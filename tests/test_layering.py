@@ -19,6 +19,10 @@ Core claims:
       import each other, directly or through another module, so matrix_rank
       stays a separate reference for bareiss_rank; and reflections.py never
       names the stored Euler pairing behind the closed Hom formula it checks
+    - the brute-force searches stay independent of the lifts they check:
+      enumerate_l_dominant_bruteforce, solve_w_tilde_bruteforce and the
+      search they share name neither iota, the Kostant multisets, the stored
+      lifts, the Cartan vectors nor the triangular decomposition
 """
 
 import ast
@@ -157,8 +161,8 @@ def test_rank_references_do_not_reach_each_other():
     assert "reflections" not in reachable_modules("serre")
 
 
-def test_hom_oracle_never_names_the_stored_pairing():
-    tree = ast.parse((PACKAGE / "reflections.py").read_text(encoding="utf-8"))
+def named(tree) -> set[str]:
+    """Every name, attribute, imported alias and string constant in a tree."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -169,4 +173,25 @@ def test_hom_oracle_never_names_the_stored_pairing():
             names.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
-    assert "euler_pairing" not in names
+    return names
+
+
+def test_hom_oracle_never_names_the_stored_pairing():
+    tree = ast.parse((PACKAGE / "reflections.py").read_text(encoding="utf-8"))
+    assert "euler_pairing" not in named(tree)
+
+
+LIFT_NAMES = {
+    "iota", "iota_additive", "kostant_multisets", "_module_lift_vs", "v_f", "v_sigma_f",
+    "decompose", "_lift_row", "_dense_cartan", "_dense_order",
+}
+
+
+@pytest.mark.parametrize("oracle", [
+    "enumerate_l_dominant_bruteforce", "solve_w_tilde_bruteforce", "_capped_search",
+])
+def test_enumeration_oracles_never_name_the_lifts(oracle):
+    tree = ast.parse((PACKAGE / "dominance.py").read_text(encoding="utf-8"))
+    bodies = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == oracle]
+    assert len(bodies) == 1
+    assert named(bodies[0]) & LIFT_NAMES == set()
