@@ -21,7 +21,7 @@ for slot in ar.window_slots():
 print("\nmesh middle terms (tau y -> E -> y):")
 for y, middle in sorted(ar.mesh.items()):
     names = ", ".join(
-        ar.object_name(ar.object_of_slot(s)) for s in sorted(middle.elements())
+        ar.object_name(ar.object_of_slot(s)) for s in sorted(middle) for _ in range(middle[s])
     )
     print(f"  {ar.object_name(ar.object_of_slot(y)):6s} <- [{names}]")
 

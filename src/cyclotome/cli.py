@@ -2,18 +2,18 @@
 lift / forms / verify / serre-dims.
 
 Sparse-vector literals accept both numeric tokens ``i:a=m`` (vertex, height
-residue, multiplicity) and named tokens such as ``sigma(P2)=1`` or ``S1=2``;
-see --help.  Identical inputs produce byte-identical output: every collection
-is emitted in canonical sorted order.  Exit codes: 0 success, 1 verification
-failure or a closed output pipe, 2 usage error.
+residue, multiplicity) and named tokens such as ``sigma(P2)=1`` or ``S1=2``.
+Identical inputs produce byte-identical output: every collection is emitted
+in canonical sorted order.  Options take their value as ``--opt value`` or
+``--opt=value`` and are spelled in full; ``cyclotome <command> --help`` lists
+them.  Exit codes: 0 success, 1 verification failure or a closed output pipe,
+2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import sys
+from types import SimpleNamespace
 
 from .cyclic import CycIndex, build_index, rep_space_dot
 from .derived import ar_quiver_dot
@@ -53,17 +53,6 @@ def _build_index(args) -> CycIndex:
             f"--type {args.type} does not match the {quiver.dynkin_type} quiver in {path}"
         )
     return build_index(quiver)
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for caps: a report that checked zero cases is no pass."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _parse_token_name(index: CycIndex, name: str):
@@ -129,6 +118,11 @@ def _vector_json(vec: dict) -> list:
     return [[i, a, c] for (i, a), c in sorted(vec.items())]
 
 
+def _print_json(payload: dict) -> None:
+    import json  # only JSON output pays for the import
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_describe(args) -> int:
@@ -136,7 +130,7 @@ def cmd_describe(args) -> int:
     q = index.quiver
     gens = chevalley_generators(index)
     if args.json:
-        payload = {
+        _print_json({
             "schema": SCHEMA_VERSION,
             "type": q.dynkin_type,
             "orientation": q.orientation_label(),
@@ -158,8 +152,7 @@ def cmd_describe(args) -> int:
                 name: {"v": _vector_json(p.v), "w": _vector_json(p.w)}
                 for name, p in sorted(gens.items())
             },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
         return 0
     print(f"quiver {q} with Coxeter number h = {q.coxeter_number}")
     print(f"heights live mod 2h = {index.two_h}")
@@ -167,9 +160,7 @@ def cmd_describe(args) -> int:
     print("window objects (slot -> object @ vertex):")
     for slot in index.ar.window_slots():
         obj = index.ar.object_of_slot(slot)
-        print(
-            f"  {slot} -> {index.ar.object_name(obj)} @ {index.vertex_of_slot[slot]}"
-        )
+        print(f"  {slot} -> {index.ar.object_name(obj)} @ {index.vertex_of_slot[slot]}")
     print("Chevalley generators:")
     for name in sorted(gens):
         print(f"  {name} = L{gens[name].pretty(index)}")
@@ -198,13 +189,12 @@ def cmd_enumerate(args) -> int:
     w = parse_sparse(index, args.w)
     solutions = enumerate_l_dominant(index, w, verify=args.verify)
     if args.json:
-        payload = {
+        _print_json({
             "schema": SCHEMA_VERSION,
             "w": _vector_json(w),
             "count": len(solutions),
             "solutions": [_vector_json(v) for v in solutions],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
         return 0
     print(f"w = {format_vector(index, w)}")
     print(f"{len(solutions)} l-dominant v:")
@@ -218,13 +208,12 @@ def cmd_lift(args) -> int:
     wtilde = parse_sparse(index, args.wtilde)
     pair = solve_w_tilde(index, wtilde)
     if args.json:
-        payload = {
+        _print_json({
             "schema": SCHEMA_VERSION,
             "wtilde": _vector_json(wtilde),
             "v": _vector_json(pair.v),
             "w": _vector_json(pair.w),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
         return 0
     print(pair.pretty(index))
     return 0
@@ -232,8 +221,7 @@ def cmd_lift(args) -> int:
 
 def cmd_forms(args) -> int:
     index = _build_index(args)
-    m1 = parse_pair(index, args.pair[0])
-    m2 = parse_pair(index, args.pair[1])
+    m1, m2 = (parse_pair(index, literal) for literal in args.pair)
     values = {
         "d(m1,m2)": d_form(index, m1, m2),
         "d(m2,m1)": d_form(index, m2, m1),
@@ -247,9 +235,7 @@ def cmd_forms(args) -> int:
         "deg_phi(w2)": deg_phi(index, m2.w),
     }
     if args.json:
-        payload = {"schema": SCHEMA_VERSION}
-        payload.update({k: repr(v) for k, v in values.items()})
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json({"schema": SCHEMA_VERSION, **{k: repr(v) for k, v in values.items()}})
         return 0
     for name, value in values.items():
         print(f"{name} = {value}")
@@ -267,23 +253,19 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{args.relation} has no cases on {index.quiver.dynkin_type}")
     all_pass = all(r.passed for r in reports)
     if args.json:
-        payload = {
+        _print_json({
             "schema": SCHEMA_VERSION,
             "type": index.quiver.dynkin_type,
             "orientation": index.quiver.orientation_label(),
             "reports": [r.to_dict() for r in reports],
             "pass": all_pass,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     elif args.markdown:
         print(f"# relation suite: {index.quiver}")
         print("| relation | args | checks | pass |")
         print("|---|---|---|---|")
         for r in reports:
-            print(
-                f"| {r.relation} | {r.args} | {len(r.checks)} |"
-                f" {'yes' if r.passed else 'NO'} |"
-            )
+            print(f"| {r.relation} | {r.args} | {len(r.checks)} | {'yes' if r.passed else 'NO'} |")
         print(f"\noverall: {'pass' if all_pass else 'FAIL'}")
     else:
         for r in reports:
@@ -300,116 +282,152 @@ def cmd_verify(args) -> int:
 def cmd_serre_dims(args) -> int:
     index = _build_index(args)
     dims = serre_quotient_dims(index.quiver, args.maxdeg)
-    rows = []
-    all_ok = True
-    for beta in sorted(dims):
-        kostant = kostant_partitions(index, beta)
-        ok = dims[beta] == kostant
-        all_ok = all_ok and ok
-        rows.append((beta, dims[beta], kostant, ok))
+    rows = [(beta, d, kostant_partitions(index, beta)) for beta, d in sorted(dims.items())]
+    all_ok = all(d == k for _, d, k in rows)
     if args.json:
-        payload = {
+        _print_json({
             "schema": SCHEMA_VERSION,
             "maxdeg": args.maxdeg,
-            "rows": [
-                {"degree": list(beta), "dim": d, "kostant": k, "pass": ok}
-                for beta, d, k, ok in rows
-            ],
+            "rows": [{"degree": list(beta), "dim": d, "kostant": k, "pass": d == k}
+                     for beta, d, k in rows],
             "pass": all_ok,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
-        for beta, d, k, ok in rows:
-            print(f"degree {beta}: dim {d}, kostant {k} {'ok' if ok else 'MISMATCH'}")
+        for beta, d, k in rows:
+            print(f"degree {beta}: dim {d}, kostant {k} {'ok' if d == k else 'MISMATCH'}")
         print(f"overall: {'pass' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclotome",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an entry that must be given
 
-    def common(p):
-        p.add_argument(
-            "--type",
-            help="Dynkin type, e.g. A3, D4, E6 (default A2; with file: the file's type)",
-        )
-        p.add_argument(
-            "--orientation",
-            default="linear",
-            help="linear | alternating | file:<path>",
-        )
-        p.add_argument("--json", action="store_true", help="emit JSON")
+# Each entry is (name, kind, default, help).  An option's kind is "flag" (no
+# value), "str", "int" (at least 1: a report that checked zero cases is no
+# pass) or "two" (a string given exactly twice); a positional argument's kind
+# is its tuple of choices.
+COMMON = (
+    ("--type", "str", None, "Dynkin type, e.g. A3, D4, E6 (default A2; with file: its type)"),
+    ("--orientation", "str", "linear", "linear | alternating | file:<path>"),
+    ("--json", "flag", False, "emit JSON"),
+)
+COMMANDS = {  # command -> (handler, help, entries besides COMMON)
+    "describe": (cmd_describe, "heights, index sets, window, generators", ()),
+    "ar-quiver": (cmd_ar_quiver, "the derived window and its arrows",
+                  (("--dot", "flag", False, "emit a DOT digraph"),)),
+    "rep-space": (cmd_rep_space, "the framed ladder diagram as DOT", ()),
+    "enumerate": (cmd_enumerate, "all l-dominant v for a given w",
+                  (("--w", "str", REQUIRED, "sparse vector literal"),
+                   ("--verify", "flag", False, "cross-check by brute force"))),
+    "lift": (cmd_lift, "the unique dominant lift of a W+ weight",
+             (("--wtilde", "str", REQUIRED, "sparse vector literal in W+"),)),
+    "forms": (cmd_forms, "all form values for a pair of pairs",
+              (("--pair", "two", REQUIRED, "pair literal 'v=<sparse>;w=<sparse>' (give twice)"),)),
+    "verify": (cmd_verify, "run the relation suite",
+               (("--markdown", "flag", False, "emit a Markdown table"),
+                ("--mass-cap", "int", 3, "largest weight mass to check (default 3)"),
+                ("relation", ("all", *RELATIONS), REQUIRED, "the relation to check, or all"))),
+    "serre-dims": (cmd_serre_dims, "graded dimensions vs Kostant counts",
+                   (("--maxdeg", "int", 4, "largest total degree (default 4)"),)),
+}
 
-    p = sub.add_parser("describe", help="heights, index sets, window, generators")
-    common(p)
-    p.set_defaults(fn=cmd_describe)
 
-    p = sub.add_parser("ar-quiver", help="the derived window and its arrows")
-    common(p)
-    p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-    p.set_defaults(fn=cmd_ar_quiver)
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: cyclotome [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"usage: cyclotome {command} [-h]"]
+    for name, kind, default, _ in COMMON + COMMANDS[command][2]:
+        word = name if kind == "flag" else f"{name} {name[2:].upper().replace('-', '_')}"
+        word = word if name[0] == "-" else f"{{{','.join(kind)}}}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
 
-    p = sub.add_parser("rep-space", help="the framed ladder diagram as DOT")
-    common(p)
-    p.set_defaults(fn=cmd_rep_space)
 
-    p = sub.add_parser("enumerate", help="all l-dominant v for a given w")
-    common(p)
-    p.add_argument("--w", required=True, help="sparse vector literal")
-    p.add_argument("--verify", action="store_true", help="cross-check by brute force")
-    p.set_defaults(fn=cmd_enumerate)
+def _usage_error(command, message: str):
+    print(f"{_usage(command)}\ncyclotome: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("lift", help="the unique dominant lift of a W+ weight")
-    common(p)
-    p.add_argument("--wtilde", required=True, help="sparse vector literal in W+")
-    p.set_defaults(fn=cmd_lift)
 
-    p = sub.add_parser("forms", help="all form values for a pair of pairs")
-    common(p)
-    p.add_argument(
-        "--pair",
-        action="append",
-        required=True,
-        help="pair literal 'v=<sparse>;w=<sparse>' (give twice)",
-    )
-    p.set_defaults(fn=cmd_forms)
+def _help(command=None):
+    if command is None:
+        lines = ["", __doc__ or "", "commands:", *(f"  {c:<14}{s[1]}" for c, s in COMMANDS.items())]
+    else:
+        _, text, entries = COMMANDS[command]
+        lines = ["", text, "", "arguments:", *(f"  {e[0]:<16}{e[3]}" for e in COMMON + entries)]
+    print(_usage(command), *lines, sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("verify", help="run the relation suite")
-    common(p)
-    p.add_argument("relation", choices=["all", *RELATIONS])
-    p.add_argument("--markdown", action="store_true")
-    p.add_argument("--mass-cap", type=_positive_int, default=3)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("serre-dims", help="graded dimensions vs Kostant counts")
-    common(p)
-    p.add_argument("--maxdeg", type=_positive_int, default=4)
-    p.set_defaults(fn=cmd_serre_dims)
-    return parser
+def _choice(command, name: str, token: str, choices) -> str:
+    if token not in choices:
+        choices = f"(choose from {', '.join(map(repr, choices))})"
+        _usage_error(command, f"argument {name}: invalid choice: {token!r} {choices}")
+    return token
+
+
+def parse_args(argv: list[str]):
+    """The handler and the arguments of a command line.  -h or --help prints
+    help and exits 0; a usage error exits 2."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        _help()
+    command, tokens = _choice(None, "command", argv[0], COMMANDS), iter(argv[1:])
+    handler, entries = COMMANDS[command][0], COMMON + COMMANDS[command][2]
+    options = {name: kind for name, kind, _, _ in entries if name[0] == "-"}
+    positional = [(name, kind) for name, kind, _, _ in entries if name[0] != "-"]
+    values = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        if not token.startswith("-") and positional:
+            name, choices = positional.pop(0)
+            values[name] = _choice(command, name, token, choices)
+            continue
+        name, eq, value = token.partition("=")
+        kind = options.get(name)
+        if kind is None or kind == "flag" and eq:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        if kind == "flag":
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                _usage_error(command, f"argument {name}: expected one argument")
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {name}: invalid int value: {value!r}")
+            if value < 1:
+                _usage_error(command, f"argument {name}: must be at least 1, got {value}")
+        values[name] = (values.get(name, []) + [value]) if kind == "two" else value
+    missing = [e[0] for e in entries if e[2] is REQUIRED and e[0] not in values]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    for name, kind in options.items():
+        if kind == "two" and len(values[name]) != 2:
+            _usage_error(command, f"{command} needs exactly two {name} literals")
+    return handler, SimpleNamespace(**{
+        e[0].lstrip("-").replace("-", "_"): values.get(e[0], e[2]) for e in entries
+    })
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "forms" and len(args.pair) != 2:
-        parser.error("forms needs exactly two --pair literals")
+    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.fn(args)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # the reader closed the pipe (`cyclotome ... | head`): point stdout at
         # devnull so the flush at exit cannot raise again, and exit quietly
+        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:
         # malformed literals, bad quiver files, weights outside the supported
-        # cones: usage errors, matching argparse's exit convention
+        # cones: usage errors, with the exit code of the parser's own
         print(f"cyclotome: error: {exc}", file=sys.stderr)
         return 2
 

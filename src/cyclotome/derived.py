@@ -13,9 +13,6 @@ lives in reflections.py.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import total_ordering
-
 from .quiver import DynkinQuiver, Frozen, euler_matrix, euler_form
 
 
@@ -26,7 +23,6 @@ class MixedSignClassError(RuntimeError):
 Slot = tuple[int, int]  # (vertex i, tau-exponent d): the object tau^{-d} P_i
 
 
-@total_ordering
 class DerivedObject(Frozen):
     """Sigma^shift applied to the module sitting at a (module) window slot;
     ordered as the pair (slot, shift)."""
@@ -38,9 +34,16 @@ class DerivedObject(Frozen):
         object.__setattr__(self, "shift", shift)
 
     def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slot, self.shift) < (other.slot, other.shift)
+        return self._values() < other._values() if type(other) is type(self) else NotImplemented
+
+    def __le__(self, other):
+        return self._values() <= other._values() if type(other) is type(self) else NotImplemented
+
+    def __gt__(self, other):
+        return self._values() > other._values() if type(other) is type(self) else NotImplemented
+
+    def __ge__(self, other):
+        return self._values() >= other._values() if type(other) is type(self) else NotImplemented
 
 
 # -- integer matrix helpers (exact, plain tuples) ------------------------------
@@ -182,16 +185,14 @@ class ARQuiver:
                 if d + 1 < self.h:
                     self.arrows.append(((s, d), (t, d + 1)))
         self.arrows.sort()
-        self.mesh: dict[Slot, Counter] = {}
+        self.mesh: dict[Slot, dict[Slot, int]] = {}  # y -> {middle term: multiplicity}
         for i in quiver.vertices:
             for d in range(1, self.h):
-                middle = Counter()
+                middle = self.mesh[(i, d)] = {}
                 for s, t in quiver.arrows:
-                    if s == i:
-                        middle[(t, d)] += 1
-                    if t == i:
-                        middle[(s, d - 1)] += 1
-                self.mesh[(i, d)] = middle
+                    if i in (s, t):
+                        slot = (t, d) if s == i else (s, d - 1)
+                        middle[slot] = middle.get(slot, 0) + 1
 
     # -- object bookkeeping --
 

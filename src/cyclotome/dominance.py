@@ -309,21 +309,20 @@ def kostant_multisets(index_or_ar, beta: tuple[int, ...]):
     """Yield every multiset of positive roots summing to beta, as root lists,
     in lexicographic order of root positions.  Each recursion level takes
     one root, with its multiplicity from high to low: depth <= |Phi+| + 1."""
-    roots = positive_roots(index_or_ar)
+    yield from _multisets(positive_roots(index_or_ar), tuple(beta), 0)
 
-    def rec(remaining, start):
-        if not any(remaining):
-            yield []
-            return
-        for idx in range(start, len(roots)):
-            r, rests = roots[idx], [remaining]  # rests[k] = remaining - k r
-            while min(rest := tuple(map(operator.sub, rests[-1], r))) >= 0:
-                rests.append(rest)
-            for mult in range(len(rests) - 1, 0, -1):
-                for tail in rec(rests[mult], idx + 1):
-                    yield [r] * mult + tail
 
-    yield from rec(tuple(beta), 0)
+def _multisets(roots, remaining, start):
+    if not any(remaining):
+        yield []
+        return
+    for idx in range(start, len(roots)):
+        r, rests = roots[idx], [remaining]  # rests[k] = remaining - k r
+        while min(rest := tuple(map(operator.sub, rests[-1], r))) >= 0:
+            rests.append(rest)
+        for mult in range(len(rests) - 1, 0, -1):
+            for tail in _multisets(roots, rests[mult], idx + 1):
+                yield [r] * mult + tail
 
 
 def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
@@ -334,25 +333,23 @@ def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
     if any(x < 0 for x in beta):
         raise ValueError("beta must be nonnegative")
     ar = getattr(index_or_ar, "ar", index_or_ar)
-    roots = positive_roots(ar)
-    memo = ar.tables.setdefault("kostant", {})
+    return _count(positive_roots(ar), ar.tables.setdefault("kostant", {}), tuple(beta), 0)
 
-    def count(remaining, start):
-        if not any(remaining):
-            return 1
-        if start == len(roots):
-            return 0
-        key = (remaining, start)
-        if key not in memo:
-            r = roots[start]
-            total, rest = 0, remaining
-            while min(rest) >= 0:
-                total += count(rest, start + 1)
-                rest = tuple(map(operator.sub, rest, r))
-            memo[key] = total
-        return memo[key]
 
-    return count(tuple(beta), 0)
+def _count(roots, memo, remaining, start):
+    if not any(remaining):
+        return 1
+    if start == len(roots):
+        return 0
+    key = (remaining, start)
+    if key not in memo:
+        r = roots[start]
+        total, rest = 0, remaining
+        while min(rest) >= 0:
+            total += _count(roots, memo, rest, start + 1)
+            rest = tuple(map(operator.sub, rest, r))
+        memo[key] = total
+    return memo[key]
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -434,6 +431,7 @@ def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, 
                 acc = tuple(map(operator.add, acc, _lift_row(index, ar.slot_of_root[r])))
 
         rec(beta, 0, (0,) * _dense_order(index)[2])
+        del rec  # it refers to itself through its cell: a cycle left for gc
         if len(set(out)) != len(out):
             raise EnumerationMismatchError("two Kostant multisets lifted to one v")
         return tuple(out)
@@ -566,6 +564,7 @@ def _capped_search(index: CycIndex, coords, start: dict, sign: int, cap: int, ze
         assignment[k] = 0
 
     rec(0)
+    del rec  # it refers to itself through its cell: a cycle left for gc
     return found
 
 

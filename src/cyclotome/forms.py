@@ -7,8 +7,6 @@ All values are exact integers or half-integers.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .cyclic import CycIndex, Vertex
 from .dominance import VWPair, residual
 from .derived import Slot
@@ -20,8 +18,21 @@ class NotIndecomposableError(ValueError):
     pass
 
 
-GradedClass = namedtuple("GradedClass", "module_part shifted_part")
-GradedClass.__doc__ = "A K0-class split into a module part and a shifted part."
+class GradedClass(tuple):
+    """A K0-class split into a module part and a shifted part: the pair of them."""
+
+    __slots__ = ()
+    module_part = property(lambda self: self[0])
+    shifted_part = property(lambda self: self[1])
+
+    def __new__(cls, module_part, shifted_part):
+        return tuple.__new__(cls, (module_part, shifted_part))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"GradedClass(module_part={self[0]!r}, shifted_part={self[1]!r})"
 
 
 def phi(index: CycIndex, w: dict[Vertex, int]) -> GradedClass:

@@ -10,8 +10,6 @@ gap is recovered as hom - <,>, exact because the category is hereditary).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .derived import ARQuiver, DerivedObject
 from .quiver import DynkinQuiver, euler_form
 
@@ -74,10 +72,10 @@ def _simple_rep(arrows, n, j) -> Rep:
 def _rref(rows):
     """Row-reduce over Q; returns (reduced rows, pivot column list).
 
-    Entries are ints or Fractions; scaling by a pivot whose inverse is an
-    integer, such as -1, keeps ints as ints.  Each pivot step reads the
-    nonzero columns of the pivot row once and updates only those columns of
-    the rows it clears.
+    Entries are ints or Fractions.  A pivot of -1 is its own inverse, so it
+    keeps ints as ints and needs no ``fractions`` import.  Each pivot step
+    reads the nonzero columns of the pivot row once and updates only those
+    columns of the rows it clears.
     """
     rows = [list(r) for r in rows]
     pivots = []
@@ -92,9 +90,10 @@ def _rref(rows):
         support = [j for j in range(c, ncols) if prow[j] != 0]
         pv = prow[c]
         if pv != 1:
-            inv = Fraction(1) / pv
-            if inv.denominator == 1:  # keep a row of ints in ints
-                inv = inv.numerator
+            inv = -1  # the inverse of -1; rows of ints stay ints
+            if pv != -1:
+                from fractions import Fraction  # an int pivot of size 2 or more, or a Fraction
+                inv = Fraction(1) / pv
             for j in support:
                 prow[j] *= inv
         for i, row in enumerate(rows):

@@ -165,19 +165,19 @@ def _words(beta):
     letters = []
     for i, k in enumerate(beta, start=1):
         letters.extend([i] * k)
+    yield from _arrangements(letters, [])
 
-    def rec(remaining, prefix):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        used = set()
-        for k, letter in enumerate(remaining):
-            if letter in used:
-                continue
-            used.add(letter)
-            yield from rec(remaining[:k] + remaining[k + 1:], prefix + [letter])
 
-    yield from rec(letters, [])
+def _arrangements(remaining, prefix):
+    if not remaining:
+        yield tuple(prefix)
+        return
+    used = set()
+    for k, letter in enumerate(remaining):
+        if letter in used:
+            continue
+        used.add(letter)
+        yield from _arrangements(remaining[:k] + remaining[k + 1:], prefix + [letter])
 
 
 def _multidegrees(n, total):

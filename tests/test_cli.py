@@ -8,11 +8,19 @@ Core claims:
     - malformed input exits 2 with a message, never a traceback (seeded fuzz)
     - a verify that would run no case exits 2 instead of passing vacuously
     - a reader that closes the output pipe early gets exit 1 and nothing on stderr
+    - -h/--help, at the top and after a command, prints to stdout and exits 0;
+      a command's help names every one of its options
+    - --opt=value and --opt value parse alike
+    - every usage error exits 2 with a usage line and "cyclotome: error:" on
+      stderr, never a traceback; option names must be spelled in full
+    - a seeded argv-level fuzz of valid command lines exits only 0, 1 or 2
+    - every command line in README's "Command line" block exits 0
 """
 
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -319,3 +327,180 @@ def test_fuzzed_literals_exit_zero_or_two(capsys):
         codes[code] += 1
     # both outcomes occur, so the fuzz reaches the commands' bodies
     assert min(codes.values()) > 0
+
+
+# == 5. the argument parser ============================================================
+
+COMMON_OPTIONS = ["--type", "--orientation", "--json"]
+OPTIONS = {
+    "describe": [],
+    "ar-quiver": ["--dot"],
+    "rep-space": [],
+    "enumerate": ["--w", "--verify"],
+    "lift": ["--wtilde"],
+    "forms": ["--pair"],
+    "verify": ["--markdown", "--mass-cap", "relation"],
+    "serre-dims": ["--maxdeg"],
+}
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def listed_names(help_text: str) -> set[str]:
+    """The first word of each indented line of a help text."""
+    return {line.split()[0] for line in help_text.splitlines() if line.startswith("  ")}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_names_every_command(flag, capsys):
+    assert exit_code([flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cyclotome") and captured.err == ""
+    assert listed_names(captured.out) >= set(OPTIONS)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_command_help_names_every_option(command, capsys):
+    # help wins wherever it stands, even beside a missing required option
+    assert exit_code([command, "--type", "A2", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: cyclotome {command}") and captured.err == ""
+    assert listed_names(captured.out) == set(COMMON_OPTIONS + OPTIONS[command])
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--type", "A2", "--w", "sigma(S1)=1,sigma(S2)=1", "--json"],
+    ["lift", "--type", "A2", "--wtilde", "sigma(P2)=1"],
+    ["forms", "--type", "A2", "--pair", "v=0;w=sigma(S1)=1", "--pair", "v=0;w=0"],
+    ["verify", "ek", "--type", "A2", "--mass-cap", "1"],
+    ["serre-dims", "--type", "A2", "--maxdeg", "2", "--orientation", "alternating"],
+], ids=lambda argv: argv[0])
+def test_equals_sign_and_separate_value_agree(argv, capsys):
+    joined = []
+    for token in argv:
+        if joined and joined[-1].startswith("--") and not token.startswith("--"):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    assert main(argv) == 0
+    separate = capsys.readouterr().out
+    assert main(joined) == 0
+    assert capsys.readouterr().out == separate != ""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["describe", "--foo"],
+    ["describe", "--typ", "A2"],  # a prefix of --type: abbreviations are not accepted
+    ["describe", "--json=1"],
+    ["describe", "A2"],
+    ["describe", "--type"],
+    ["enumerate", "--w"],
+    ["enumerate", "--w", "--json"],
+    ["enumerate"],
+    ["lift", "--type", "A2"],
+    ["forms"],
+    ["forms", "--pair", "v=0;w=0"],
+    ["forms", "--pair", "v=0;w=0", "--pair", "v=0;w=0", "--pair", "v=0;w=0"],
+    ["verify"],
+    ["verify", "bogus"],
+    ["verify", "all", "ek"],
+    ["verify", "all", "--mass-cap", "x"],
+    ["verify", "all", "--mass-cap", "1.5"],
+    ["verify", "all", "--mass-cap", "0"],
+    ["serre-dims", "--maxdeg", "-3"],
+    ["serre-dims", "--maxdeg="],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_exit_two_with_a_usage_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: cyclotome")
+    assert error.startswith("cyclotome: error: ")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "bogus"], "argument relation: invalid choice: 'bogus' (choose from 'all', 'ek',"),
+    (["enumerate"], "the following arguments are required: --w"),
+    (["lift", "--wtilde"], "argument --wtilde: expected one argument"),
+    (["describe", "--typ", "A2"], "unrecognized arguments: --typ"),
+    (["verify", "all", "--mass-cap", "x"], "argument --mass-cap: invalid int value: 'x'"),
+    (["forms", "--pair", "v=0;w=0"], "forms needs exactly two --pair literals"),
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_usage_errors_keep_the_familiar_wording(argv, message, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.splitlines()[1].startswith(f"cyclotome: error: {message}")
+
+
+FUZZ_LINES = [
+    ["describe", "--type", "A2", "--json"],
+    ["ar-quiver", "--type", "A2", "--dot"],
+    ["rep-space", "--type", "A1"],
+    ["enumerate", "--type", "A2", "--w", "sigma(S1)=1", "--verify"],
+    ["lift", "--type", "A2", "--wtilde", "sigma(P2)=1", "--json"],
+    ["forms", "--type", "A2", "--pair", "v=0;w=sigma(S1)=1", "--pair", "v=0;w=0"],
+    ["verify", "ek", "--type", "A2", "--mass-cap", "1", "--markdown"],
+    ["serre-dims", "--type", "A2", "--maxdeg", "2"],
+]
+
+
+def mutate(rng, argv):
+    """Drop, duplicate, swap or misspell tokens; only the command and option
+    names are misspelled, so no mutation asks for a large computation."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(argv))
+        how = rng.choice(["drop", "duplicate", "swap", "misspell"])
+        if how == "drop":
+            del argv[k]
+        elif how == "duplicate":
+            argv.insert(k, argv[k])
+        elif how == "swap" and k + 1 < len(argv):
+            argv[k], argv[k + 1] = argv[k + 1], argv[k]
+        elif how == "misspell" and (k == 0 or argv[k].startswith("-")):
+            j = rng.randrange(len(argv[k]))
+            argv[k] = argv[k][:j] + rng.choice(["", "x", "-", "=", argv[k][j] * 2]) + argv[k][j + 1:]
+        if not argv:
+            break
+    return argv
+
+
+def test_fuzzed_command_lines_exit_zero_one_or_two(capsys):
+    rng = random.Random(14)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(400):
+        argv = mutate(rng, rng.choice(FUZZ_LINES))
+        code = exit_code(argv)
+        captured = capsys.readouterr()
+        assert code in codes, argv
+        assert "Traceback" not in captured.err, argv
+        assert code != 2 or "cyclotome: error:" in captured.err, argv
+        codes[code] += 1
+    # both a clean run and a usage error occur, so the fuzz reaches both paths
+    assert codes[0] > 0 and codes[2] > 0
+
+
+def readme_command_lines() -> list[list[str]]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = shlex.split(block.replace("\\\n", " "), comments=True)
+    starts = [k for k, token in enumerate(lines) if token == "cyclotome"]
+    return [lines[a + 1:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        assert exit_code(argv) == 0, argv
+        assert capsys.readouterr().out, argv

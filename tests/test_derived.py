@@ -93,6 +93,12 @@ class TestKnit:
                 )
                 assert lhs == total
 
+    def test_mesh_middles_are_plain_multiplicity_dicts(self):
+        ar = knit(orient("A3", "linear"))  # arrows 2 -> 1 and 3 -> 2
+        assert ar.mesh[(2, 1)] == {(1, 1): 1, (3, 0): 1}
+        assert ar.mesh[(1, 3)] == {(2, 2): 1}
+        assert all(type(middle) is dict for middle in ar.mesh.values())
+
 
 # == 2. functors ==================================================================
 

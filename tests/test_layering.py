@@ -12,7 +12,11 @@ Core claims:
       state lives only in index.tables and ar.tables, where it dies with its
       quiver
     - importing the command line loads neither dataclasses, typing nor inspect,
-      whose import costs more than the rest of the package
+      whose import costs more than the rest of the package, nor argparse,
+      json, fractions, decimal, re, enum, collections, functools, shutil or
+      locale; importing the package loads no fractions
+    - the command line gives the same bytes under Python 3.10, 3.12 and 3.13
+      as under the interpreter running the tests, where those are installed
     - the command line reaches the relation verifiers only through
       relations.verify and verify_all, so the dispatch lives in one place
     - the Hom oracle stays independent: reflections.py and serre.py do not
@@ -26,6 +30,8 @@ Core claims:
 """
 
 import ast
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -131,16 +137,59 @@ def test_cli_imports_no_single_verifier():
     assert {n for n in names if n.startswith("verify_")} <= {"verify_all"}
 
 
-def test_cli_import_loads_no_heavy_stdlib_modules():
+HEAVY_MODULES = (
+    "dataclasses", "typing", "inspect", "argparse", "json", "fractions", "decimal", "re",
+    "enum", "collections", "functools", "shutil", "locale",
+)
+
+
+def loaded_after_import(module: str, candidates) -> list[str]:
+    """The candidates that a fresh ``python -S`` has loaded after importing module."""
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import cyclotome.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules))"
+        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src"), *candidates],
         capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.split() == []
+    ).stdout.split()
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    assert loaded_after_import("cyclotome.cli", HEAVY_MODULES) == []
+
+
+def test_package_import_loads_no_fractions():
+    assert loaded_after_import("cyclotome", ["fractions"]) == []
+
+
+def interpreter(version: str):
+    """A python<version> that runs, from pyenv's versions or from PATH; else None."""
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = sorted(pyenv.glob(f"versions/{version}.*/bin/python{version}"))
+    for exe in [str(p) for p in found] + [shutil.which(f"python{version}")]:
+        if exe and subprocess.run([exe, "-S", "-c", "pass"], capture_output=True).returncode == 0:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+@pytest.mark.parametrize("argv", [
+    ["describe", "--type", "A3"],
+    ["verify", "ef", "--type", "A2", "--json"],
+], ids=["describe", "verify-ef-json"])
+def test_cli_runs_alike_on_other_interpreters(version, argv):
+    exe = interpreter(version)
+    if exe is None:
+        pytest.skip(f"python{version} is not installed")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = [
+        subprocess.run([python, "-S", "-m", "cyclotome.cli", *argv],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for python in (exe, sys.executable)
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def reachable_modules(name: str) -> set[str]:

@@ -5,7 +5,8 @@ Core claims:
       raises AttributeError
     - each compares and hashes as the tuple of its fields (DynkinQuiver
       without its derived neighbour table), but never equals a plain tuple or
-      another type; DerivedObject also orders as (slot, shift)
+      another type; DerivedObject also orders as (slot, shift), and
+      never against another type
     - GradedClass is a tuple: it equals (module_part, shifted_part)
     - Check and VerificationReport are mutable, compare field by field and are
       unhashable; every report starts with its own empty list of checks
@@ -19,6 +20,7 @@ Core claims:
 """
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -59,6 +61,14 @@ class TestDerivedObject:
         assert DerivedObject((1, 0), 0) <= DerivedObject((1, 0), 0)
         assert DerivedObject((2, 0)) > DerivedObject((1, 9), 9)
         assert DerivedObject((2, 0)) >= DerivedObject((2, 0))
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
+                             ids=lambda op: op.__name__)
+    def test_never_orders_against_a_foreign_value(self, op):
+        with pytest.raises(TypeError):
+            op(DerivedObject((1, 0), 1), ((1, 0), 1))
+        with pytest.raises(TypeError):
+            op(((1, 0), 1), DerivedObject((1, 0), 1))
 
     @pytest.mark.parametrize("field", ["slot", "shift"])
     def test_frozen(self, field):
