@@ -12,7 +12,7 @@ down the shift involution on vertices and everything downstream.
 from __future__ import annotations
 
 from .derived import ARQuiver, DerivedObject, Slot, knit
-from .quiver import DynkinQuiver, height_function
+from .quiver import DynkinQuiver, Tables, height_function
 
 Vertex = tuple[int, int]  # (quiver vertex i, height residue a mod 2h)
 
@@ -22,20 +22,19 @@ class IndexInvariantError(RuntimeError):
     an internal bug."""
 
 
-class CycIndex:
+class CycIndex(Tables):
     def __init__(self, quiver: DynkinQuiver, xi: dict[int, int] | None = None):
+        super().__init__()
         self.quiver = quiver
+        self.xi = dict(xi) if xi is not None else height_function(quiver)
+        if (set(self.xi) != set(quiver.vertices)
+                or not all(isinstance(x, int) for x in self.xi.values())
+                or any(self.xi[s] != self.xi[t] + 1 for s, t in quiver.arrows)):
+            raise ValueError(f"xi {self.xi} is not a height function of {quiver}: it must give "
+                             "exactly the vertices int values, with xi(s) = xi(t) + 1 on s->t")
         self.ar: ARQuiver = knit(quiver)
         self.h = quiver.coxeter_number
         self.two_h = 2 * self.h
-        self.xi = dict(xi) if xi is not None else height_function(quiver)
-        # Per-quiver invariants, each filled on first use: ("v_f", i),
-        # ("iota", slot) and "cones" by dominance.py, with its enumeration
-        # data over one dense order of sigma-I-hat: "dense order",
-        # ("dense v_f", i), ("lift row", slot) and ("lifts", beta); each
-        # read pair's ("residual", pair) and ("phi", pair) by forms.py, and
-        # the generator pairs (name, i) by relations.py; see stored().
-        self.tables: dict = {}
 
         self.i_hat: set[Vertex] = set()
         self.sigma_i_hat: set[Vertex] = set()
@@ -68,13 +67,6 @@ class CycIndex:
         for v, w in self.shift_vertex_map.items():
             if self.shift_vertex_map[w] != v:
                 raise IndexInvariantError("shift involution broken")
-
-    def stored(self, key, build):
-        """tables[key], built by calling build() on first use."""
-        value = self.tables.get(key)
-        if value is None:
-            value = self.tables[key] = build()
-        return value
 
     # -- vertex maps --
 

@@ -13,7 +13,7 @@ lives in reflections.py.
 
 from __future__ import annotations
 
-from .quiver import DynkinQuiver, Frozen, euler_matrix, euler_form
+from .quiver import DynkinQuiver, Frozen, Tables, euler_matrix, euler_form
 
 
 class MixedSignClassError(RuntimeError):
@@ -101,7 +101,7 @@ def matrix_order(a, cap: int = 64) -> int:
 
 # -- the AR window -------------------------------------------------------------
 
-class ARQuiver:
+class ARQuiver(Tables):
     """The window {tau^{-d} P_i : i in I, 0 <= d < h} with its mesh structure.
 
     Exactly half of the nh window slots carry positive classes (the modules,
@@ -112,13 +112,9 @@ class ARQuiver:
     """
 
     def __init__(self, quiver: DynkinQuiver):
+        super().__init__()
         self.quiver = quiver
         self.h = quiver.coxeter_number
-        # Per-quiver invariants, each filled on first use: the Euler pairing
-        # of two module slots under ("pairing", x, y) by euler_pairing, the
-        # brute-force Hom oracle of reflections.py under "oracle", and the
-        # Kostant counts of dominance.kostant_partitions under "kostant".
-        self.tables: dict = {}
         n = quiver.n
         e = euler_matrix(quiver)
         # -E^{-T} E sends the class of a non-injective module M to the class
@@ -256,11 +252,8 @@ class ARQuiver:
 
     def euler_pairing(self, m: Slot, n: Slot) -> int:
         """<dim M, dim N>, the Euler form on the roots of two module slots."""
-        key = ("pairing", m, n)
-        pairing = self.tables.get(key)
-        if pairing is None:
-            pairing = self.tables[key] = euler_form(self.quiver, self.root_of[m], self.root_of[n])
-        return pairing
+        return self.stored(("pairing", m, n), euler_form, self.quiver, self.root_of[m],
+                           self.root_of[n])
 
     def hom_dim(self, x: DerivedObject, y: DerivedObject) -> int:
         """dim Hom(x, y) by the directedness formula; exact for ADE."""

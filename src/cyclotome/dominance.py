@@ -49,8 +49,8 @@ class LiftInvariantError(RuntimeError):
 class VWPair:
     """A pair of finitely supported nonnegative vectors (v, w).
 
-    What the forms derive from a pair, its residual and Phi(w), is kept in
-    index.tables under ("residual", pair) and ("phi", pair), not on the pair.
+    What the forms derive from a pair, its residual and Phi(w), is kept on
+    the index under ("residual", pair) and ("phi", pair), not on the pair.
     """
 
     __slots__ = ("v", "w", "_key")
@@ -114,9 +114,10 @@ def sigma_simples(index: CycIndex, i: int) -> tuple[Vertex, Vertex]:
 
 def cones(index: CycIndex) -> Cones:
     """The cones of an index, computed on first use and stored on it."""
-    co = index.tables.get("cones")
-    if co is not None:
-        return co
+    return index.stored("cones", _build_cones, index)
+
+
+def _build_cones(index: CycIndex) -> Cones:
     ar = index.ar
     module_vertices = {index.vertex_of_slot[s] for s in ar.modules}
     shifted_vertices = set(index.sigma_i_hat) - module_vertices
@@ -129,10 +130,7 @@ def cones(index: CycIndex) -> Cones:
         frozenset, zip(*(sigma_simples(index, i) for i in index.quiver.vertices))
     )
     v_minus = frozenset(index.shift_vertex(v) for v in noninj)
-    co = index.tables["cones"] = Cones(
-        w_plus, frozenset(noninj), w_s, w_minus, v_minus, w_sigma_s
-    )
-    return co
+    return Cones(w_plus, frozenset(noninj), w_s, w_minus, v_minus, w_sigma_s)
 
 
 # -- Cartan vectors -------------------------------------------------------------
@@ -146,18 +144,18 @@ def w_f(index: CycIndex, i: int) -> dict[Vertex, int]:
 def v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
     """v^f_i: Hom dimensions from S_i into every section object (a fresh copy
     of the vector stored on the index)."""
-    key = ("v_f", i)
-    vec = index.tables.get(key)
-    if vec is None:
-        ar = index.ar
-        si = DerivedObject(ar.simple[i], 0)
-        out = {}
-        for v in index.sigma_i_hat:
-            val = ar.hom_dim(si, index.object_at(v))
-            if val:
-                out[v] = val
-        vec = index.tables[key] = canon(out)
-    return dict(vec)
+    return dict(index.stored(("v_f", i), _build_v_f, index, i))
+
+
+def _build_v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
+    ar = index.ar
+    si = DerivedObject(ar.simple[i], 0)
+    out = {}
+    for v in index.sigma_i_hat:
+        val = ar.hom_dim(si, index.object_at(v))
+        if val:
+            out[v] = val
+    return canon(out)
 
 
 def v_sigma_f(index: CycIndex, i: int) -> dict[Vertex, int]:
@@ -244,10 +242,10 @@ def iota(index: CycIndex, slot: Slot) -> VWPair:
     Computed once per module slot; every call returns the pair stored on the
     index.
     """
-    key = ("iota", slot)
-    pair = index.tables.get(key)
-    if pair is not None:
-        return pair
+    return index.stored(("iota", slot), _build_iota, index, slot)
+
+
+def _build_iota(index: CycIndex, slot: Slot) -> VWPair:
     ar = index.ar
     # (multiplicity, S_i) over the support of the root of N
     support = [
@@ -265,8 +263,7 @@ def iota(index: CycIndex, slot: Slot) -> VWPair:
             raise LiftInvariantError(f"iota_V of {slot} went negative at {x}")
         if val:
             iv[index.vertex_of_slot[x]] = val
-    pair = index.tables[key] = VWPair(iv, iw)
-    return pair
+    return VWPair(iv, iw)
 
 
 def iota_additive(index: CycIndex, multiset) -> VWPair:
@@ -300,16 +297,15 @@ def solve_w_tilde(index: CycIndex, wtilde: dict[Vertex, int]) -> VWPair:
 
 # -- Kostant partitions ------------------------------------------------------------
 
-def positive_roots(index_or_ar) -> list[tuple[int, ...]]:
-    ar = getattr(index_or_ar, "ar", index_or_ar)
-    return sorted(ar.root_of.values())
+def positive_roots(index: CycIndex) -> list[tuple[int, ...]]:
+    return sorted(index.ar.root_of.values())
 
 
-def kostant_multisets(index_or_ar, beta: tuple[int, ...]):
+def kostant_multisets(index: CycIndex, beta: tuple[int, ...]):
     """Yield every multiset of positive roots summing to beta, as root lists,
     in lexicographic order of root positions.  Each recursion level takes
     one root, with its multiplicity from high to low: depth <= |Phi+| + 1."""
-    yield from _multisets(positive_roots(index_or_ar), tuple(beta), 0)
+    yield from _multisets(positive_roots(index), tuple(beta), 0)
 
 
 def _multisets(roots, remaining, start):
@@ -325,15 +321,14 @@ def _multisets(roots, remaining, start):
                 yield [r] * mult + tail
 
 
-def kostant_partitions(index_or_ar, beta: tuple[int, ...]) -> int:
+def kostant_partitions(index: CycIndex, beta: tuple[int, ...]) -> int:
     """Number of multisets of positive roots summing to beta.
 
-    The counts are kept per quiver in ``ar.tables["kostant"]``, keyed by
+    The counts are kept per quiver in the window's "kostant" table, keyed by
     (remaining, start), so every call on one quiver reuses the earlier ones."""
     if any(x < 0 for x in beta):
         raise ValueError("beta must be nonnegative")
-    ar = getattr(index_or_ar, "ar", index_or_ar)
-    return _count(positive_roots(ar), ar.tables.setdefault("kostant", {}), tuple(beta), 0)
+    return _count(positive_roots(index), index.ar.stored("kostant", dict), tuple(beta), 0)
 
 
 def _count(roots, memo, remaining, start):
@@ -360,44 +355,44 @@ def _dense_order(index: CycIndex) -> tuple[tuple[Vertex, ...], dict[Vertex, int]
     V+ sorted, then V- as the shift image of V+ in the same order, then the
     injective vertices sorted and their shift images, so the shift swaps the
     first two blocks and the last two.  Kept on the index."""
+    return index.stored("dense order", _build_dense_order, index)
 
-    def build():
-        plus, inj = [], []  # V+: the non-injective module vertices
-        for s in index.ar.modules:
-            (inj if index.ar.is_injective(s) else plus).append(index.vertex_of_slot[s])
-        plus.sort()
-        inj.sort()
-        shift = index.shift_vertex
-        order = tuple(plus + [shift(x) for x in plus] + inj + [shift(x) for x in inj])
-        return order, {x: k for k, x in enumerate(order)}, len(plus)
 
-    return index.stored("dense order", build)
+def _build_dense_order(index: CycIndex):
+    plus, inj = [], []  # V+: the non-injective module vertices
+    for s in index.ar.modules:
+        (inj if index.ar.is_injective(s) else plus).append(index.vertex_of_slot[s])
+    plus.sort()
+    inj.sort()
+    shift = index.shift_vertex
+    order = tuple(plus + [shift(x) for x in plus] + inj + [shift(x) for x in inj])
+    return order, {x: k for k, x in enumerate(order)}, len(plus)
 
 
 def _dense_cartan(index: CycIndex, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(v^f_i, v^Sigma f_i) as tuples over the dense order, kept on the index."""
+    return index.stored(("dense v_f", i), _build_dense_cartan, index, i)
 
-    def build():
-        order = _dense_order(index)[0]
-        vecs = v_f(index, i), v_sigma_f(index, i)
-        return tuple(tuple(vec.get(x, 0) for x in order) for vec in vecs)
 
-    return index.stored(("dense v_f", i), build)
+def _build_dense_cartan(index: CycIndex, i: int):
+    order = _dense_order(index)[0]
+    vecs = v_f(index, i), v_sigma_f(index, i)
+    return tuple(tuple(vec.get(x, 0) for x in order) for vec in vecs)
 
 
 def _lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
     """iota_V of a module as a tuple over V+, kept on the index."""
+    return index.stored(("lift row", slot), _build_lift_row, index, slot)
 
-    def build():
-        _, pos, p = _dense_order(index)
-        row = [0] * p
-        for x, c in iota(index, slot).v.items():
-            if pos[x] >= p:
-                raise LiftInvariantError("lift left V+")
-            row[pos[x]] = c
-        return tuple(row)
 
-    return index.stored(("lift row", slot), build)
+def _build_lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
+    _, pos, p = _dense_order(index)
+    row = [0] * p
+    for x, c in iota(index, slot).v.items():
+        if pos[x] >= p:
+            raise LiftInvariantError("lift left V+")
+        row[pos[x]] = c
+    return tuple(row)
 
 
 def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -408,35 +403,35 @@ def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, 
     multiplicity that still fits; what is left is a sum of simple roots,
     which it covers in one way only, so every branch ends in a lift.  Built
     once per beta and kept on the index."""
+    return index.stored(("lifts", beta), _build_module_lift_vs, index, beta)
 
-    def build():
-        ar = index.ar
-        roots = [r for r in positive_roots(ar) if sum(r) > 1]
-        simples = [ar.simple[i] for i in index.quiver.vertices]
-        out = []
 
-        def rec(remaining, k, acc):
-            if k == len(roots):
-                for slot, c in zip(simples, remaining):
-                    if c:
-                        acc = tuple(a + c * x for a, x in zip(acc, _lift_row(index, slot)))
-                out.append(acc)
+def _build_module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    ar = index.ar
+    roots = [r for r in positive_roots(index) if sum(r) > 1]
+    simples = [ar.simple[i] for i in index.quiver.vertices]
+    out = []
+
+    def rec(remaining, k, acc):
+        if k == len(roots):
+            for slot, c in zip(simples, remaining):
+                if c:
+                    acc = tuple(a + c * x for a, x in zip(acc, _lift_row(index, slot)))
+            out.append(acc)
+            return
+        r = roots[k]
+        while True:
+            rec(remaining, k + 1, acc)
+            remaining = tuple(map(operator.sub, remaining, r))
+            if min(remaining) < 0:
                 return
-            r = roots[k]
-            while True:
-                rec(remaining, k + 1, acc)
-                remaining = tuple(map(operator.sub, remaining, r))
-                if min(remaining) < 0:
-                    return
-                acc = tuple(map(operator.add, acc, _lift_row(index, ar.slot_of_root[r])))
+            acc = tuple(map(operator.add, acc, _lift_row(index, ar.slot_of_root[r])))
 
-        rec(beta, 0, (0,) * _dense_order(index)[2])
-        del rec  # it refers to itself through its cell: a cycle left for gc
-        if len(set(out)) != len(out):
-            raise EnumerationMismatchError("two Kostant multisets lifted to one v")
-        return tuple(out)
-
-    return index.stored(("lifts", beta), build)
+    rec(beta, 0, (0,) * _dense_order(index)[2])
+    del rec  # it refers to itself through its cell: a cycle left for gc
+    if len(set(out)) != len(out):
+        raise EnumerationMismatchError("two Kostant multisets lifted to one v")
+    return tuple(out)
 
 
 def enumerate_l_dominant(

@@ -91,14 +91,14 @@ def rescale_exponent_lusztig(index: CycIndex, w: dict[Vertex, int]) -> HalfInt:
 # -- the d form -----------------------------------------------------------------
 
 def pair_residual(index: CycIndex, pair: VWPair) -> dict[Vertex, int]:
-    """w - C_q v, computed once per pair and index and kept in index.tables:
+    """w - C_q v, computed once per pair and index and kept on the index:
     shared, not to be mutated (dominance.residual returns a fresh dict)."""
-    return index.stored(("residual", pair), lambda: residual(index, pair))
+    return index.stored(("residual", pair), residual, index, pair)
 
 
 def _pair_phi(index: CycIndex, pair: VWPair) -> GradedClass:
-    """Phi(w) of a pair, computed once per pair and index and kept in index.tables."""
-    return index.stored(("phi", pair), lambda: phi(index, pair.w))
+    """Phi(w) of a pair, computed once per pair and index and kept on the index."""
+    return index.stored(("phi", pair), phi, index, pair.w)
 
 
 def d_form(index: CycIndex, m1: VWPair, m2: VWPair) -> int:

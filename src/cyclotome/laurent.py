@@ -10,6 +10,8 @@ from the package, so every other layer can build on it.
 
 from __future__ import annotations
 
+import operator
+
 
 class HalfInt:
     """An element of (1/2)Z stored as twice its value; exact arithmetic only.
@@ -94,7 +96,7 @@ class HalfLaurent:
 
     def __init__(self, terms: dict[int, int] | None = None):
         # keys are TWICE the exponent
-        self.terms = {k: int(c) for k, c in sorted((terms or {}).items()) if c}
+        self.terms = {k: operator.index(c) for k, c in sorted((terms or {}).items()) if c}
 
     @classmethod
     def zero(cls) -> "HalfLaurent":

@@ -74,6 +74,25 @@ class Frozen:
         return type(self), self._values()
 
 
+_MISSING = object()
+
+
+class Tables:
+    """Base of ARQuiver and CycIndex: each per-quiver invariant is built on
+    first use and kept under a key naming it and its arguments ("cones",
+    ("v_f", i), ("hom", rx, ry), ...); stored() alone touches ``tables``."""
+
+    def __init__(self):
+        self.tables: dict = {}
+
+    def stored(self, key, build, *args):
+        """tables[key], built by calling build(*args) on first use."""
+        value = self.tables.get(key, _MISSING)
+        if value is _MISSING:
+            value = self.tables[key] = build(*args)
+        return value
+
+
 class DynkinQuiver(Frozen):
     """An oriented ADE tree with its detected type and Coxeter number.
 

@@ -233,37 +233,22 @@ def hom_space_dim(m: Rep, n_: Rep) -> int:
     return total - matrix_rank(rows)
 
 
-class BruteForceOracle:
-    """Caches explicit representations per root, and the intertwiner nullity
-    per root pair that both gaps read, and answers Hom queries."""
-
-    def __init__(self, ar: ARQuiver):
-        self.ar = ar
-        self._reps: dict[tuple[int, ...], Rep] = {}
-        self._homs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def rep(self, root: tuple[int, ...]) -> Rep:
-        if root not in self._reps:
-            self._reps[root] = indecomposable_rep(self.ar.quiver, root)
-        return self._reps[root]
-
-    def hom_dim(self, x: DerivedObject, y: DerivedObject) -> int:
-        gap = y.shift - x.shift
-        if gap not in (0, 1):
-            return 0
-        rx = self.ar.root_of[x.slot]
-        ry = self.ar.root_of[y.slot]
-        hom = self._homs.get((rx, ry))
-        if hom is None:
-            hom = self._homs[(rx, ry)] = hom_space_dim(self.rep(rx), self.rep(ry))
-        if gap == 0:
-            return hom
-        return hom - euler_form(self.ar.quiver, rx, ry)
-
-
 def hom_dim_bruteforce(ar: ARQuiver, x: DerivedObject, y: DerivedObject) -> int:
-    """Independent Hom oracle; agrees with ARQuiver.hom_dim on all inputs."""
-    oracle = ar.tables.get("oracle")
-    if oracle is None:
-        oracle = ar.tables["oracle"] = BruteForceOracle(ar)
-    return oracle.hom_dim(x, y)
+    """Independent Hom oracle; agrees with ARQuiver.hom_dim on all inputs.
+
+    Keeps each root's representation on ar under ("rep", root), and the
+    intertwiner nullity that both gaps read under ("hom", rx, ry)."""
+    gap = y.shift - x.shift
+    if gap not in (0, 1):
+        return 0
+    rx = ar.root_of[x.slot]
+    ry = ar.root_of[y.slot]
+    hom = ar.stored(("hom", rx, ry), _root_pair_hom, ar, rx, ry)
+    if gap == 0:
+        return hom
+    return hom - euler_form(ar.quiver, rx, ry)
+
+
+def _root_pair_hom(ar: ARQuiver, rx: tuple[int, ...], ry: tuple[int, ...]) -> int:
+    reps = [ar.stored(("rep", r), indecomposable_rep, ar.quiver, r) for r in (rx, ry)]
+    return hom_space_dim(*reps)

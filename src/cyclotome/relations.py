@@ -105,28 +105,39 @@ def _report(index: CycIndex, relation: str, args) -> VerificationReport:
 
 
 # -- generator pairs ---------------------------------------------------------------
-# Each is built once per index and kept in index.tables under (name, i).
+# Each is built once per index and kept on it under (name, i).
 
 def e_pair(index: CycIndex, i: int) -> VWPair:
-    return index.stored(("E", i), lambda: VWPair({}, {sigma_simples(index, i)[0]: 1}))
+    return index.stored(("E", i), _w_unit_pair, index, i, 0)
 
 
 def f_pair(index: CycIndex, i: int) -> VWPair:
-    return index.stored(("F", i), lambda: VWPair({}, {sigma_simples(index, i)[1]: 1}))
+    return index.stored(("F", i), _w_unit_pair, index, i, 1)
 
 
 def k_prime_pair(index: CycIndex, i: int) -> VWPair:
-    return index.stored(("K'", i), lambda: VWPair(v_f(index, i), w_f(index, i)))
+    return index.stored(("K'", i), _cartan_pair, index, i, v_f)
 
 
 def k_pair(index: CycIndex, i: int) -> VWPair:
-    return index.stored(("K", i), lambda: VWPair(v_sigma_f(index, i), w_f(index, i)))
+    return index.stored(("K", i), _cartan_pair, index, i, v_sigma_f)
 
 
 def central_pair(index: CycIndex, i: int) -> VWPair:
-    return index.stored(("central", i), lambda: VWPair(
-        add(v_f(index, i), v_sigma_f(index, i)), scale(w_f(index, i), 2)
-    ))
+    return index.stored(("central", i), _central_pair, index, i)
+
+
+def _w_unit_pair(index: CycIndex, i: int, k: int) -> VWPair:
+    """(0, e_y) for y = sigma S_i (k = 0) or sigma Sigma S_i (k = 1)."""
+    return VWPair({}, {sigma_simples(index, i)[k]: 1})
+
+
+def _cartan_pair(index: CycIndex, i: int, v) -> VWPair:
+    return VWPair(v(index, i), w_f(index, i))
+
+
+def _central_pair(index: CycIndex, i: int) -> VWPair:
+    return VWPair(add(v_f(index, i), v_sigma_f(index, i)), scale(w_f(index, i), 2))
 
 
 def chevalley_generators(index: CycIndex) -> dict[str, VWPair]:

@@ -7,10 +7,12 @@ This module imports nothing else from the package.
 
 from __future__ import annotations
 
+import operator
+
 
 def canon(vec: dict) -> dict:
-    """The canonical form: sorted keys, int coefficients, no zeros."""
-    return {k: int(c) for k, c in sorted(vec.items()) if c}
+    """The canonical form: sorted keys, int coefficients (a float raises TypeError), no zeros."""
+    return {k: operator.index(c) for k, c in sorted(vec.items()) if c}
 
 
 def canonical_order(vecs) -> list[dict]:

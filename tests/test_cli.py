@@ -14,7 +14,9 @@ Core claims:
     - every usage error exits 2 with a usage line and "cyclotome: error:" on
       stderr, never a traceback; option names must be spelled in full
     - a seeded argv-level fuzz of valid command lines exits only 0, 1 or 2
-    - every command line in README's "Command line" block exits 0
+    - every command line in README's "Command line" block exits 0, and
+      README's "Quick start" Python block runs as written and prints what its
+      comment says
 """
 
 import json
@@ -490,9 +492,13 @@ def test_fuzzed_command_lines_exit_zero_one_or_two(capsys):
     assert codes[0] > 0 and codes[2] > 0
 
 
-def readme_command_lines() -> list[list[str]]:
+def readme_block(heading: str, language: str) -> str:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split(f"## {heading}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_command_lines() -> list[list[str]]:
+    block = readme_block("Command line", "sh")
     lines = shlex.split(block.replace("\\\n", " "), comments=True)
     starts = [k for k, token in enumerate(lines) if token == "cyclotome"]
     return [lines[a + 1:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
@@ -504,3 +510,10 @@ def test_readme_command_lines_exit_zero(capsys):
     for argv in lines:
         assert exit_code(argv) == 0, argv
         assert capsys.readouterr().out, argv
+
+
+def test_readme_quick_start_runs(capsys):
+    block = readme_block("Quick start", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    printed = block.rstrip().splitlines()[-1].split("#", 1)[1].strip()
+    assert capsys.readouterr().out == printed + "\n"

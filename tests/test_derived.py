@@ -7,6 +7,8 @@ Core claims:
     - mesh middle terms satisfy class additivity
     - the closed Hom formula agrees with the intertwiner oracle, on every
       module pair of D5 and E6 in either order of the two gaps
+    - the oracle builds one representation per root and one nullity per root
+      pair, whichever gaps it is asked: D4 at both gaps takes 12 and 144
     - the oracle's elimination returns the reduced row echelon form of its
       input, with the pivot list
     - Hom wraps correctly through the slot-level tau
@@ -246,6 +248,21 @@ class TestOracleOnModulePairs:
                 wrong.append((x, y, gap))
         assert len(triples) == 2 * len(ar.modules) ** 2
         assert wrong == []
+
+    def test_oracle_builds_each_rep_and_nullity_once(self, monkeypatch):
+        calls = {"indecomposable_rep": 0, "hom_space_dim": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(reflections, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(reflections, name, counted)
+        ar = knit(orient("D4", "alternating"))
+        for gap in (0, 1, 0):
+            for x in ar.modules:
+                for y in ar.modules:
+                    hom_dim_bruteforce(ar, DerivedObject(x, 0), DerivedObject(y, gap))
+        assert len(ar.modules) == 12
+        assert calls == {"indecomposable_rep": 12, "hom_space_dim": 144}
 
 
 class TestRref:

@@ -8,7 +8,7 @@ Core claims:
     - script-N and the height-signed form agree on lifted modules
     - script-N equals the twisted leading exponent on every pair, l-dominant
       or not, since <,>_a is antisymmetric
-    - the residual and Phi that index.tables keeps for a pair belong to that
+    - the residual and Phi that the index keeps for a pair belong to that
       index: read with another index (same I-hat, another section), the pair
       gives the values of a fresh copy; and residual hands out a copy that d
       never sees

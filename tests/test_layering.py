@@ -9,8 +9,10 @@ Core claims:
       strip it, so invariants raise named errors
     - nor does a bare `raise AssertionError`: it names no invariant
     - nothing under src/ uses functools.lru_cache or functools.cache: stored
-      state lives only in index.tables and ar.tables, where it dies with its
-      quiver
+      state lives only in the tables of an index or its window, where it dies
+      with its quiver
+    - only the Tables base in quiver.py names a `tables` attribute, so every
+      memo goes through Tables.stored
     - importing the command line loads neither dataclasses, typing nor inspect,
       whose import costs more than the rest of the package, nor argparse,
       json, fractions, decimal, re, enum, collections, functools, shutil or
@@ -126,6 +128,34 @@ def test_functools_cache_detector(source, lines):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_functools_caches_in_src(path):
     assert functools_caches(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def tables_outside_base(tree) -> list[int]:
+    """Lines that name a `tables` attribute outside the body of class Tables."""
+    inside = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Tables"
+        for node in ast.walk(cls)
+    }
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "tables" and id(node) not in inside
+    ]
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("class Tables:\n    def f(self):\n        return self.tables", []),
+    ("x = index.tables.get(1)", [1]),
+    ("class CycIndex:\n    def f(self):\n        self.tables = {}", [3]),
+    ("tables = {}\nx = ar.stored('kostant', dict)", []),
+])
+def test_tables_detector(source, lines):
+    assert tables_outside_base(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_tables_base_names_tables(path):
+    assert tables_outside_base(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_cli_imports_no_single_verifier():

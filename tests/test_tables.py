@@ -1,6 +1,10 @@
-"""The per-quiver tables on ARQuiver and CycIndex.
+"""The per-quiver tables on ARQuiver and CycIndex, which both keep every
+invariant through Tables.stored.
 
 Core claims:
+    - stored(key, build, *args) calls build(*args) once per key, on the first
+      read, and hands back that value on every later read, a falsy value
+      (0, {}, None) included
     - v_f and v_sigma_f hand out copies: mutating one leaves the next call as
       it was
     - the tables depend only on the quiver, never on the order of the
@@ -28,8 +32,23 @@ from cyclotome import (
 )
 from cyclotome import dominance
 from cyclotome.derived import DerivedObject
+from cyclotome.quiver import Tables
 
 TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("value", [0, {}, None, (1, 2)], ids=repr)
+def test_stored_builds_once_per_key(value):
+    tables, built = Tables(), []
+
+    def build(*args):
+        built.append(args)
+        return value
+
+    for _ in range(3):
+        assert tables.stored("key", build, 1, 2) is value
+    assert tables.stored(("key", 2), build) is value
+    assert built == [(1, 2), ()]
 
 
 @pytest.mark.parametrize("getter", [v_f, v_sigma_f], ids=lambda f: f.__name__)

@@ -12,11 +12,13 @@ Core claims:
       unhashable; every report starts with its own empty list of checks
     - each repr names the class and its fields as keywords
     - copy, deepcopy and pickle give back an equal value
-    - the forms keep what they derive from a VWPair in index.tables, not on
+    - the forms keep what they derive from a VWPair on the index, not on
       the pair: a pair they have read compares, hashes, orders and prints
       like an unread pair with the same (v, w), and its copies and pickles
       pickle to the same bytes as the unread pair
     - a VWPair never orders against another type: < raises TypeError
+    - canon, VWPair and HalfLaurent take integer coefficients only: a float
+      raises TypeError instead of being truncated, and True reads as the int 1
 """
 
 import copy
@@ -26,9 +28,10 @@ import pickle
 import pytest
 
 from cyclotome import (
-    Check, Cones, DerivedObject, GradedClass, VerificationReport, VWPair, build_index, cones,
-    d_form, leading_exponent, orient,
+    Check, Cones, DerivedObject, GradedClass, HalfLaurent, VerificationReport, VWPair,
+    build_index, cones, d_form, leading_exponent, orient,
 )
+from cyclotome.vectors import canon
 from cyclotome.relations import e_pair, k_prime_pair
 
 FOREIGN = [None, 0, "x", (), ((1, 0), 0)]
@@ -212,3 +215,24 @@ def test_copies_are_equal(make, clone):
     assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
     if hasattr(value, "neighbours"):
         assert twin.neighbours == value.neighbours
+
+
+COEFFICIENT_HOLDERS = {
+    "canon": lambda c: canon({(1, 1): c}),
+    "VWPair.v": lambda c: VWPair({(1, 1): c}, {}).v,
+    "VWPair.w": lambda c: VWPair({}, {(1, 0): c}).w,
+    "HalfLaurent": lambda c: HalfLaurent({2: c}).terms,
+}
+
+
+@pytest.mark.parametrize("holder", COEFFICIENT_HOLDERS.values(), ids=COEFFICIENT_HOLDERS)
+@pytest.mark.parametrize("c", [0.5, 1.5, 2.0, -1.0])
+def test_float_coefficients_raise(holder, c):
+    with pytest.raises(TypeError):
+        holder(c)
+
+
+@pytest.mark.parametrize("holder", COEFFICIENT_HOLDERS.values(), ids=COEFFICIENT_HOLDERS)
+def test_true_reads_as_the_int_one(holder):
+    (value,) = holder(True).values()
+    assert value == 1 and type(value) is int
