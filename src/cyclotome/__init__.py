@@ -66,14 +66,13 @@ from .forms import (
     leading_exponent_tilde,
     n_phi,
     phi,
-    q_degree_compare,
     rescale_exponent_kashiwara,
     rescale_exponent_lusztig,
     script_n,
     twist_exponent,
     window_height,
 )
-from .laurent import FormalSum, HalfInt, HalfLaurent, quantum_int, quantum_factorial
+from .laurent import FormalSum, HalfInt, HalfLaurent, quantum_int
 from .serre import DegreeTooLargeError, serre_quotient_dims
 from .relations import (
     RELATIONS,
@@ -111,7 +110,7 @@ __all__ = [
     "iota", "iota_additive", "is_l_dominant", "knit", "kostant_multisets",
     "kostant_partitions", "leading_exponent", "leading_exponent_tilde",
     "load_quiver", "make_dynkin_quiver", "n_phi", "orient", "phi",
-    "positive_roots", "q_degree_compare", "quantum_factorial", "quantum_int",
+    "positive_roots", "quantum_int",
     "rescale_exponent_kashiwara", "rescale_exponent_lusztig", "residual",
     "script_n", "serre_quotient_dims", "solve_w_tilde",
     "solve_w_tilde_bruteforce", "some_orientations", "twist_exponent",

@@ -88,17 +88,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def matrix_order(a, cap: int = 64) -> int:
-    """Smallest m >= 1 with a^m = 1 (brute-force powering, capped)."""
-    n = len(a)
-    power = a
-    for m in range(1, cap + 1):
-        if power == identity(n):
-            return m
-        power = mat_mul(power, a)
-    raise RuntimeError(f"order exceeds cap {cap}")
-
-
 # -- the AR window -------------------------------------------------------------
 
 class ARQuiver(Tables):
@@ -244,10 +233,6 @@ class ARQuiver(Tables):
         i, d = slot
         return DerivedObject((i, d + 1), obj.shift)
 
-    def nu(self, obj: DerivedObject) -> DerivedObject:
-        """The Serre functor: nu = tau o Sigma = Sigma o tau."""
-        return self.tau(self.sigma_shift(obj))
-
     # -- Hom dimensions --
 
     def euler_pairing(self, m: Slot, n: Slot) -> int:
@@ -269,12 +254,6 @@ class ARQuiver(Tables):
 def knit(quiver: DynkinQuiver) -> ARQuiver:
     """Build the derived window and its mesh data for a quiver."""
     return ARQuiver(quiver)
-
-
-def slot_tau(ar: ARQuiver, slot: Slot) -> Slot:
-    """tau on window slots, wrapping mod h (tau^h = 1 on slots)."""
-    i, d = slot
-    return (i, (d - 1) % ar.h)
 
 
 def ar_quiver_dot(ar: ARQuiver) -> str:

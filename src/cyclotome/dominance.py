@@ -579,10 +579,9 @@ def enumerate_l_dominant_bruteforce(
     return canonical_order(v for v, _ in _capped_search(index, index.sigma_i_hat, w, -1, cap))
 
 
-def solve_w_tilde_bruteforce(
-    index: CycIndex, wtilde: dict[Vertex, int], cap: int | None = None
-) -> list[VWPair]:
-    """All (v, w) in V+ x W^S with w - C_q v = wtilde, v capped coordinatewise.
+def solve_w_tilde_bruteforce(index: CycIndex, wtilde: dict[Vertex, int]) -> list[VWPair]:
+    """All (v, w) in V+ x W^S with w - C_q v = wtilde, each coordinate of v
+    at most h times the mass of wtilde.
 
     The search over V+ updates w = wtilde + C_q v per coordinate and prunes
     once a coordinate of w is negative and no unassigned coordinate can raise
@@ -590,9 +589,8 @@ def solve_w_tilde_bruteforce(
     """
     co = cones(index)
     wtilde = canon(wtilde)
-    if cap is None:
-        cap = sum(wtilde.values()) * index.h
     if any(y not in index.i_hat for y in wtilde):
         return []  # such a coordinate of w is nonzero outside W^S
+    cap = sum(wtilde.values()) * index.h
     found = _capped_search(index, co.v_plus, wtilde, 1, cap, index.i_hat - co.w_s)
     return sorted(VWPair(v, w) for v, w in found)

@@ -150,13 +150,6 @@ def window_height(index: CycIndex, slot: Slot) -> int:
     return index.xi[i] + 1 + 2 * d
 
 
-def q_degree_compare(index: CycIndex, m: Slot, n: Slot) -> int:
-    """-1 / 0 / +1 as the height of m is lower / equal / higher than n's."""
-    hm = window_height(index, m)
-    hn = window_height(index, n)
-    return (hm > hn) - (hm < hn)
-
-
 def hl_form(index: CycIndex, m: Slot, n: Slot) -> int:
     """Height-signed symmetrized Euler form on module basis elements.
 

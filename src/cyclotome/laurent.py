@@ -80,9 +80,6 @@ class HalfInt:
             return hash(self.twice // 2)
         return hash(("HalfInt", self.twice))
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __repr__(self):
         if self.twice % 2 == 0:
             return str(self.twice // 2)
@@ -95,8 +92,9 @@ class HalfLaurent:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        # keys are TWICE the exponent
-        self.terms = {k: operator.index(c) for k, c in sorted((terms or {}).items()) if c}
+        # keys are TWICE the exponent; a coefficient is read as an int before
+        # it is tested for zero, so 0.0 raises TypeError like any float
+        self.terms = {k: i for k, c in sorted((terms or {}).items()) if (i := operator.index(c))}
 
     @classmethod
     def zero(cls) -> "HalfLaurent":
@@ -139,19 +137,6 @@ class HalfLaurent:
         return HalfLaurent(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        """Powers; a negative power exists only for a unit +-t^k."""
-        base = self
-        if n < 0:
-            if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
-                raise ValueError(f"{self!r} is not a unit +-t^k, so it has no inverse")
-            ((k, c),) = self.terms.items()
-            base, n = HalfLaurent({-k: c}), -n
-        out = HalfLaurent.from_int(1)
-        for _ in range(n):
-            out = out * base
-        return out
 
     def bar(self) -> "HalfLaurent":
         """The bar involution t^(1/2) -> t^(-1/2)."""
@@ -203,7 +188,6 @@ def _coerce(x) -> HalfLaurent:
 
 T = HalfLaurent.t_pow(1)
 T_INV = HalfLaurent.t_pow(-1)
-T_HALF = HalfLaurent({1: 1})
 
 
 def quantum_int(n: int) -> HalfLaurent:
@@ -211,13 +195,6 @@ def quantum_int(n: int) -> HalfLaurent:
     if n < 0:
         return -quantum_int(-n)
     return HalfLaurent({2 * k: 1 for k in range(n - 1, -n - 1, -2)})
-
-
-def quantum_factorial(n: int) -> HalfLaurent:
-    out = HalfLaurent.from_int(1)
-    for k in range(1, n + 1):
-        out = out * quantum_int(k)
-    return out
 
 
 class FormalSum:
@@ -255,9 +232,6 @@ class FormalSum:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, key) -> HalfLaurent:
-        return self.terms.get(key, HalfLaurent.zero())
 
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms

@@ -284,8 +284,9 @@ def all_orientations(dynkin_type: str):
         yield make_dynkin_quiver(n, arrows)
 
 
-def some_orientations(dynkin_type: str, count: int = 3) -> list[DynkinQuiver]:
-    """A deterministic sample of orientations: linear, alternating, reversed-linear, ..."""
+def some_orientations(dynkin_type: str) -> list[DynkinQuiver]:
+    """A deterministic sample of orientations: linear, alternating and
+    reversed-linear, each once."""
     edges = standard_edges(dynkin_type)
     n = max(max(e) for e in edges) if edges else 1
     picks = [orient(dynkin_type, "linear"), orient(dynkin_type, "alternating")]
@@ -295,8 +296,6 @@ def some_orientations(dynkin_type: str, count: int = 3) -> list[DynkinQuiver]:
         if q.arrows not in seen:
             seen.add(q.arrows)
             out.append(q)
-        if len(out) == count:
-            break
     return out
 
 
@@ -305,21 +304,12 @@ def some_orientations(dynkin_type: str, count: int = 3) -> list[DynkinQuiver]:
 def euler_form(q: DynkinQuiver, x, y) -> int:
     """<x,y> = sum_i x_i y_i - sum_(s->t) x_s y_t on dimension vectors.
 
-    Dimension vectors are indexed 1..n; tuples are read with offset 1 and
-    dicts are read directly (missing keys count as 0).
+    Dimension vectors are tuples indexed 1..n, read with offset 1.
     """
-    x = _coords(q, x)
-    y = _coords(q, y)
     total = sum(x[k] * y[k] for k in range(q.n))
     for s, t in q.arrows:
         total -= x[s - 1] * y[t - 1]
     return total
-
-
-def _coords(q: DynkinQuiver, x):
-    if isinstance(x, dict):
-        return tuple(x.get(i, 0) for i in q.vertices)
-    return x
 
 
 def cartan_entry(q: DynkinQuiver, i: int, j: int) -> int:

@@ -10,7 +10,6 @@ identity they imply.
 
 from __future__ import annotations
 
-from itertools import product
 from types import SimpleNamespace
 
 from .cyclic import CycIndex
@@ -489,6 +488,16 @@ def verify_same_form(index: CycIndex) -> VerificationReport:
     return rep
 
 
+def _masses(n: int, cap: int):
+    """The n-tuples of nonnegative ints with total <= cap, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for m in range(cap + 1):
+        for rest in _masses(n - 1, cap - m):
+            yield (m, *rest)
+
+
 def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
     """The pair-level comparison form equals half its weight-level extension
     on all l-dominant pairs in V+ x W^S of mass <= mass_cap.
@@ -502,10 +511,9 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
     rep = _report(index, "same-n", (mass_cap,))
     verts = list(index.quiver.vertices)
     pool: list[VWPair] = []
-    for masses in product(range(mass_cap + 1), repeat=len(verts)):
-        if sum(masses) <= mass_cap:
-            w = {sigma_simples(index, i)[0]: mult for i, mult in zip(verts, masses) if mult}
-            pool += [VWPair(v, w) for v in enumerate_l_dominant(index, w)]
+    for masses in _masses(len(verts), mass_cap):
+        w = {sigma_simples(index, i)[0]: mult for i, mult in zip(verts, masses) if mult}
+        pool += [VWPair(v, w) for v in enumerate_l_dominant(index, w)]
     # v lives on sigma-I-hat and w on I-hat, so the two never share a coordinate
     coords = sorted({x for m in pool for x in (*m.v, *m.w)})
     rows = [[(m.v.get(x, 0) + m.w.get(x, 0),) for x in coords] for m in pool]

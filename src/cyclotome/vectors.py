@@ -11,8 +11,9 @@ import operator
 
 
 def canon(vec: dict) -> dict:
-    """The canonical form: sorted keys, int coefficients (a float raises TypeError), no zeros."""
-    return {k: operator.index(c) for k, c in sorted(vec.items()) if c}
+    """The canonical form: sorted keys, int coefficients (a float, even 0.0,
+    raises TypeError), no zeros."""
+    return {k: i for k, c in sorted(vec.items()) if (i := operator.index(c))}
 
 
 def canonical_order(vecs) -> list[dict]:

@@ -59,7 +59,7 @@ def test_criterion_1_index_cardinalities():
 def test_criterion_2_cartan_vector_identity():
     ok = True
     for t in LISTED_TYPES:
-        for q in some_orientations(t, 3):
+        for q in some_orientations(t):
             idx = build_index(q)
             for i in idx.quiver.vertices:
                 wf = w_f(idx, i)

@@ -7,6 +7,8 @@ Core claims:
     - the documented literal grammar (numeric and named tokens) round-trips
     - malformed input exits 2 with a message, never a traceback (seeded fuzz)
     - a verify that would run no case exits 2 instead of passing vacuously
+    - a verify with a failing check exits 1 and shows the check in text, JSON
+      and Markdown; ar-quiver without --dot prints one line per window slot
     - a reader that closes the output pipe early gets exit 1 and nothing on stderr
     - -h/--help, at the top and after a command, prints to stdout and exits 0;
       a command's help names every one of its options
@@ -22,6 +24,7 @@ Core claims:
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -30,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from cyclotome.cli import main, parse_pair, parse_sparse
-from cyclotome import build_index, orient, iota
+from cyclotome import build_index, orient, iota, relations
 
 
 def run(capsys, *argv):
@@ -63,6 +66,14 @@ class TestSubcommands:
         assert code == 0
         assert out.startswith("digraph")
         assert "style=dashed" in out
+
+    def test_ar_quiver_lists_every_slot(self, capsys):
+        code, out = run(capsys, "ar-quiver", "--type", "A3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3 * 4  # n * h
+        for line in lines:
+            assert re.fullmatch(r"\(\d+, \d+\): \S+ class=\((-?\d+, ){2}-?\d+\)", line), line
 
     def test_rep_space_dot(self, capsys):
         code, out = run(capsys, "rep-space", "--type", "A2")
@@ -138,6 +149,27 @@ class TestSubcommands:
         assert code == 0
         assert out.startswith("# relation suite")
         assert "| serre |" in out
+
+    def test_verify_reports_a_failing_check(self, monkeypatch, capsys):
+        honest = relations.verify_ef
+
+        def planted(index, i, j):
+            rep = honest(index, i, j)
+            rep.add("planted check", 1, 2)
+            return rep
+
+        # relations.verify builds its dispatch per call, so it runs the plant
+        monkeypatch.setattr(relations, "verify_ef", planted)
+        code, out = run(capsys, "verify", "ef", "--type", "A2")
+        assert code == 1
+        assert "      planted check: computed 1 != 2" in out.splitlines()
+        assert out.endswith("overall: FAIL\n")
+        code, out = run(capsys, "verify", "ef", "--type", "A2", "--json")
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+        code, out = run(capsys, "verify", "ef", "--type", "A2", "--markdown")
+        assert code == 1
+        assert "| NO |" in out and out.endswith("overall: FAIL\n")
 
     @pytest.mark.parametrize(
         "relation, fmt",

@@ -142,7 +142,7 @@ def test_output_parity(t):
 
 
 def test_q_cartan_commutes_with_shift_pullback():
-    for q in some_orientations("A3", 3):
+    for q in some_orientations("A3"):
         idx = build_index(q)
         for x in idx.sigma_i_hat:
             lhs = idx.q_cartan_apply(idx.shift_pullback({x: 1}))

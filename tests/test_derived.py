@@ -3,7 +3,8 @@
 Core claims:
     - the window has nh slots, half carrying positive classes (one per
       positive root, cross-checked against a reflection-closure oracle)
-    - tau / tau_inv / shift / nu compose as they should; tau^h = shift^-2
+    - tau / tau_inv / shift compose as they should, and the Serre functor
+      tau o shift takes P_i to I_i; tau^h = shift^-2
     - mesh middle terms satisfy class additivity
     - the closed Hom formula agrees with the intertwiner oracle, on every
       module pair of D5 and E6 in either order of the two gaps
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from cyclotome import all_orientations, knit, orient, reflections
-from cyclotome.derived import DerivedObject, slot_tau
+from cyclotome.derived import DerivedObject
 from cyclotome.quiver import cartan_entry
 from cyclotome.reflections import hom_dim_bruteforce, indecomposable_rep, hom_space_dim
 
@@ -125,11 +126,12 @@ class TestFunctors:
             assert ar.tau(ar.sigma_shift(x)) == ar.sigma_shift(ar.tau(x))
 
     def test_nu_on_projectives_gives_injectives(self):
+        # the Serre functor nu = tau o Sigma
         for t in ("A3", "D4"):
             ar = knit(orient(t, "linear"))
             for i in ar.quiver.vertices:
                 p = DerivedObject(ar.projective[i], 0)
-                assert ar.nu(p) == DerivedObject(ar.injective[i], 0)
+                assert ar.tau(ar.sigma_shift(p)) == DerivedObject(ar.injective[i], 0)
 
     @pytest.mark.parametrize("t", ["A2", "A3", "D4", "E6"])
     def test_tau_h_equals_shift_minus_two(self, t):
@@ -179,9 +181,9 @@ class TestHomDim:
             ar = knit(q)
             for m in ar.modules:
                 x = DerivedObject(m, 0)
-                for y in ar.window_slots():
-                    lhs = ar.hom_dim(x, ar.tau(ar.object_of_slot(y)))
-                    rhs = ar.hom_dim(x, ar.object_of_slot(slot_tau(ar, y)))
+                for i, d in ar.window_slots():
+                    lhs = ar.hom_dim(x, ar.tau(ar.object_of_slot((i, d))))
+                    rhs = ar.hom_dim(x, ar.object_of_slot((i, (d - 1) % ar.h)))
                     assert lhs == rhs
 
 

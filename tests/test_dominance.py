@@ -98,7 +98,7 @@ class TestCartanVectors:
 
     @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
     def test_cartan_identity(self, t):
-        for q in some_orientations(t, 3):
+        for q in some_orientations(t):
             idx = build_index(q)
             for i in idx.quiver.vertices:
                 wf = w_f(idx, i)

@@ -35,7 +35,6 @@ from cyclotome import (
     script_n,
     orient,
     phi,
-    q_degree_compare,
     residual,
     twist_exponent,
     v_f,
@@ -65,7 +64,6 @@ class TestHalfInt:
     def test_comparisons_with_ints(self):
         assert HalfInt.of(2) == 2
         assert HalfInt(1) < 1
-        assert not HalfInt(1).is_integer()
 
 
 # == 2. Phi and the rescaling exponents ==============================================
@@ -255,7 +253,6 @@ class TestHeights:
         idx = a2()
         assert window_height(idx, idx.ar.simple[1]) == 1
         assert window_height(idx, idx.ar.projective[2]) == 2
-        assert q_degree_compare(idx, idx.ar.simple[1], idx.ar.projective[2]) == -1
 
     def test_non_module_slot_rejected(self):
         idx = a2()

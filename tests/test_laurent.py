@@ -1,8 +1,7 @@
 """Exact Laurent scalars and formal sums.
 
 Core claims:
-    - HalfLaurent is a commutative ring; bar is an involutive automorphism;
-      only units +-t^k have negative powers
+    - HalfLaurent is a commutative ring; bar is an involutive automorphism
     - quantum integers are bar-invariant; [2]_t = t + t^-1
     - FormalSum addition/scaling behave and drop zero coefficients
     - HalfInt and HalfLaurent compare equal only to exact values, and equal
@@ -14,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclotome import FormalSum, HalfInt, HalfLaurent, quantum_factorial, quantum_int
-from cyclotome.laurent import T, T_HALF, T_INV
+from cyclotome import FormalSum, HalfInt, HalfLaurent, quantum_int
+from cyclotome.laurent import T, T_INV
 
 
 def random_poly(rng):
@@ -36,7 +35,7 @@ class TestHalfLaurent:
         assert (T - T_INV) * (T + T_INV) == HalfLaurent({4: 1, -4: -1})
 
     def test_half_powers_multiply(self):
-        assert T_HALF * T_HALF == T
+        assert HalfLaurent({1: 1}) * HalfLaurent({1: 1}) == T
         assert HalfLaurent.t_pow(3) * HalfLaurent.t_pow(-3) == 1
 
     def test_ring_axioms_random(self):
@@ -58,20 +57,6 @@ class TestHalfLaurent:
             assert (a + b).bar() == a.bar() + b.bar()
             assert a.bar().bar() == a
 
-    def test_quantum_factorial(self):
-        assert quantum_factorial(3) == quantum_int(1) * quantum_int(2) * quantum_int(3)
-
-    def test_negative_powers_of_units(self):
-        assert T ** -1 == T_INV
-        assert T_HALF ** -3 == HalfLaurent({-3: 1})
-        assert (-T) ** -2 == T_INV * T_INV
-        assert T ** 0 == 1
-
-    def test_negative_power_of_a_non_unit_raises(self):
-        for bad in (T + 1, 2 * T, HalfLaurent.zero()):
-            with pytest.raises(ValueError):
-                bad ** -1
-
     def test_zero_coefficients_dropped(self):
         assert (T - T).is_zero()
         assert HalfLaurent({2: 0, 0: 5}).terms == {0: 5}
@@ -80,8 +65,7 @@ class TestHalfLaurent:
 class TestFormalSum:
     def test_addition_merges(self):
         s = FormalSum.of("x", T) + FormalSum.of("x", T_INV) + FormalSum.of("y")
-        assert s.coefficient("x") == quantum_int(2)
-        assert s.coefficient("y") == 1
+        assert s == FormalSum({"x": quantum_int(2), "y": 1})
 
     def test_cancellation_is_zero(self):
         s = FormalSum.of("x", T) - FormalSum.of("x", T)
@@ -91,8 +75,7 @@ class TestFormalSum:
     def test_scale(self):
         s = FormalSum.of("x") - FormalSum.of("y")
         scaled = s.scale(T - T_INV)
-        assert scaled.coefficient("x") == T - T_INV
-        assert scaled.coefficient("y") == T_INV - T
+        assert scaled == FormalSum({"x": T - T_INV, "y": T_INV - T})
 
 
 class TestEqualityAndHashing:

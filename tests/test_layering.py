@@ -29,6 +29,10 @@ Core claims:
       enumerate_l_dominant_bruteforce, solve_w_tilde_bruteforce and the
       search they share name neither iota, the Kostant multisets, the stored
       lifts, the Cartan vectors nor the triangular decomposition
+    - every function and method under src/, dunders aside, is named by code
+      outside its own body in src/ (not counting the re-exports of
+      __init__.py), demos/ or bench/, or sits on a short keep-list that gives
+      its reason; so code that only its own tests call does not come back
 """
 
 import ast
@@ -36,6 +40,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -240,19 +245,21 @@ def test_rank_references_do_not_reach_each_other():
     assert "reflections" not in reachable_modules("serre")
 
 
-def named(tree) -> set[str]:
-    """Every name, attribute, imported alias and string constant in a tree."""
-    names = set()
+def mentions(tree):
+    """Each name, attribute and string constant in a tree, once per occurrence."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
+            yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            yield node.value
+
+
+def named(tree) -> set[str]:
+    """Every name, attribute, imported alias and string constant in a tree."""
+    aliases = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    return set(mentions(tree)) | aliases
 
 
 def test_hom_oracle_never_names_the_stored_pairing():
@@ -274,3 +281,56 @@ def test_enumeration_oracles_never_name_the_lifts(oracle):
     bodies = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == oracle]
     assert len(bodies) == 1
     assert named(bodies[0]) & LIFT_NAMES == set()
+
+
+def unreached(defining, using) -> list[str]:
+    """The functions and methods defined in the `defining` trees, dunders
+    aside, that no code outside their own bodies names in the `using` trees,
+    which hold the defining ones.  A name counts as a Name, an Attribute or a
+    string constant equal to it, since bench/tracer.py wraps functions by name."""
+    total = Counter(name for tree in using for name in mentions(tree))
+    return sorted(
+        node.name
+        for tree in defining for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and total[node.name] == Counter(mentions(node))[node.name]
+    )
+
+
+@pytest.mark.parametrize("source,names", [
+    ("def f(): pass\ndef g(): return f()", ["g"]),
+    ("def f(n): return f(n - 1)", ["f"]),
+    ("class A:\n    def m(self): pass\n    def __eq__(self, o): return self.m()", []),
+    ("def f(): pass\nTARGETS = [('mod', 'f')]", []),
+])
+def test_unreached_detector(source, names):
+    tree = ast.parse(source)
+    assert unreached([tree], [tree]) == names
+
+
+#: Functions kept although nothing but the tests calls them, with the reason.
+KEEP = {
+    "rescale_exponent_kashiwara": "the abstract's 'up to rescaling', Kashiwara's normalization",
+    "rescale_exponent_lusztig": "the abstract's 'up to rescaling', Lusztig's normalization",
+    "solve_w_tilde_bruteforce": "the oracle that solve_w_tilde is checked against",
+    "sigma_shift": "the shift functor; the acceptance gate checks tau^h against it",
+    "bar": "the bar involution that README promises",
+    "quantum_int": "the quantum integers that README promises",
+    "all_orientations": "the orientation sweeps the tests run over",
+    "some_orientations": "the orientation samples the tests run over",
+}
+
+
+def test_only_the_keep_list_is_unreached():
+    def trees(paths):
+        return [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+
+    # __init__.py holds only re-exports, which reach nothing
+    src = trees(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py")
+    others = trees(sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
+    found = unreached(src, src + others)
+    extra = [name for name in found if name not in KEEP]
+    assert extra == [], f"only the tests reach {extra}"
+    # an entry that something now reaches, or that is gone, leaves the list
+    assert [name for name in found if name in KEEP] == sorted(KEEP)

@@ -3,8 +3,7 @@
 Core claims:
     - load_quiver classifies ADE trees and rejects cycles / multi-edges / non-ADE
     - the Coxeter number table matches the order of the Coxeter transformation
-    - euler_form is Z-bilinear, cartan_entry symmetric, and reads dicts and
-      tuples alike
+    - euler_form is Z-bilinear and cartan_entry symmetric
     - the neighbour table matches the arrows and leaves equality, hashing and
       repr to the four declared fields
     - height functions obey the arrow rule on every arrow, any orientation, and
@@ -29,9 +28,8 @@ from cyclotome import (
     orient,
     unit_vector,
 )
-from cyclotome.derived import matrix_order
 from cyclotome.quiver import euler_matrix
-from cyclotome.derived import mat_mul, mat_neg, mat_transpose, unipotent_inverse
+from cyclotome.derived import identity, mat_mul, mat_neg, mat_transpose, unipotent_inverse
 
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8"]
@@ -82,19 +80,28 @@ class TestLoadQuiver:
 
 # == 2. the Coxeter number re-derived ==========================================
 
+def coxeter_order(q) -> int:
+    """The multiplicative order of the Coxeter matrix of q, by powering it;
+    None past the 64th power."""
+    e = euler_matrix(q)
+    cox = mat_neg(mat_mul(unipotent_inverse(e), mat_transpose(e)))
+    power = cox
+    for order in range(1, 65):
+        if power == identity(q.n):
+            return order
+        power = mat_mul(power, cox)
+    return None
+
+
 @pytest.mark.parametrize("t", ALL_TYPES)
 def test_coxeter_number_is_order_of_coxeter_matrix(t):
     q = orient(t, "linear")
-    e = euler_matrix(q)
-    cox = mat_neg(mat_mul(unipotent_inverse(e), mat_transpose(e)))
-    assert matrix_order(cox) == q.coxeter_number
+    assert coxeter_order(q) == q.coxeter_number
 
 
 def test_coxeter_order_is_orientation_independent():
     for q in all_orientations("A3"):
-        e = euler_matrix(q)
-        cox = mat_neg(mat_mul(unipotent_inverse(e), mat_transpose(e)))
-        assert matrix_order(cox) == 4
+        assert coxeter_order(q) == 4
 
 
 # == 3. forms ====================================================================
@@ -128,16 +135,6 @@ class TestEulerForm:
         assert cartan_entry(q, 1, 1) == 2
         assert cartan_entry(q, 1, 2) == -1
         assert cartan_entry(q, 1, 3) == 0
-
-    def test_dict_inputs_match_tuples(self):
-        q = orient("E6", "alternating")
-        x, y = (1, 2, 0, 1, 3, 0), (0, 1, 1, 2, 0, 1)
-        dx = {i: c for i, c in zip(q.vertices, x) if c}
-        dy = {i: c for i, c in zip(q.vertices, y) if c}
-        assert 0 not in dx.values() and len(dx) < q.n
-        assert euler_form(q, dx, dy) == euler_form(q, x, y)
-        assert euler_form(q, dx, y) == euler_form(q, x, dy) == euler_form(q, x, y)
-        assert euler_form(q, {}, y) == 0
 
     def test_cartan_symmetric_all_orientations(self):
         for q in all_orientations("D4"):

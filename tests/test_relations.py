@@ -14,6 +14,9 @@ Core claims:
       ordered pairs, the basis has the rank the Fraction RREF gives, a
       perturbed hl_form is caught with real failing pairs, and both sides
       of the identity are bilinear off the l-dominant pairs too
+    - same-n enumerates only the weights of mass <= its cap, in the order of
+      the filtered product of masses, so a cap of 10**20 raises no
+      OverflowError
 """
 
 import json
@@ -22,7 +25,7 @@ from itertools import product
 
 import pytest
 
-from cyclotome import forms
+from cyclotome import forms, relations
 from cyclotome import (
     VWPair,
     RELATIONS,
@@ -207,15 +210,22 @@ class TestSection5:
         assert verify(idx, "same-form") == []
 
 
+def same_n_weights(idx, mass_cap):
+    """The W^S weights of mass <= mass_cap, in the order same-n enumerates them:
+    the full product of masses, filtered."""
+    verts = list(idx.quiver.vertices)
+    return [
+        {sigma_simples(idx, i)[0]: m for i, m in zip(verts, masses) if m}
+        for masses in product(range(mass_cap + 1), repeat=len(verts))
+        if sum(masses) <= mass_cap
+    ]
+
+
 def same_n_pool(idx, mass_cap):
     """Every l-dominant pair in V+ x W^S of mass <= mass_cap, as same-n draws them."""
-    verts = list(idx.quiver.vertices)
-    pool = []
-    for masses in product(range(mass_cap + 1), repeat=len(verts)):
-        if sum(masses) <= mass_cap:
-            w = {sigma_simples(idx, i)[0]: m for i, m in zip(verts, masses) if m}
-            pool += [VWPair(v, w) for v in enumerate_l_dominant(idx, w)]
-    return pool
+    return [
+        VWPair(v, w) for w in same_n_weights(idx, mass_cap) for v in enumerate_l_dominant(idx, w)
+    ]
 
 
 def vw_rows(pool):
@@ -270,6 +280,31 @@ class TestSameNCertificate:
             assert lhs == script_n(idx, m1, m2)
             assert rhs == HalfInt(hl_extension(idx, residual(idx, m1), residual(idx, m2)))
             assert not same_n_holds(idx, m1, m2)
+
+    @pytest.mark.parametrize("t", ["A3", "D4"])
+    def test_weights_are_the_filtered_product(self, t, monkeypatch):
+        idx = build_index(orient(t, "alternating"))
+        for cap in range(5):
+            seen = []
+
+            def recording(index, w):
+                seen.append(w)
+                return enumerate_l_dominant(index, w)
+
+            monkeypatch.setattr(relations, "enumerate_l_dominant", recording)
+            assert verify_same_n(idx, cap).passed
+            assert seen == same_n_weights(idx, cap)
+
+    def test_a_huge_cap_reaches_the_enumeration(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(index, w):
+            raise Reached
+
+        monkeypatch.setattr(relations, "enumerate_l_dominant", stop)
+        with pytest.raises(Reached):
+            verify_same_n(a2(), 10**20)
 
     @pytest.mark.parametrize("t", ["A3", "D4"])
     def test_both_sides_are_bilinear(self, t):

@@ -110,7 +110,7 @@ def _answer(idx, query):
 
 @pytest.mark.parametrize("dynkin_type", TYPES)
 def test_query_order_does_not_matter(dynkin_type):
-    for q in some_orientations(dynkin_type, 3):
+    for q in some_orientations(dynkin_type):
         first, second = build_index(q), build_index(q)
         queries = _queries(first)
         forward = {query: _answer(first, query) for query in queries}

@@ -17,8 +17,9 @@ Core claims:
       like an unread pair with the same (v, w), and its copies and pickles
       pickle to the same bytes as the unread pair
     - a VWPair never orders against another type: < raises TypeError
-    - canon, VWPair and HalfLaurent take integer coefficients only: a float
-      raises TypeError instead of being truncated, and True reads as the int 1
+    - canon, VWPair and HalfLaurent take integer coefficients only: a float,
+      even 0.0, raises TypeError instead of being truncated or dropped, True
+      reads as the int 1 and False as the int 0, which is dropped
 """
 
 import copy
@@ -226,7 +227,7 @@ COEFFICIENT_HOLDERS = {
 
 
 @pytest.mark.parametrize("holder", COEFFICIENT_HOLDERS.values(), ids=COEFFICIENT_HOLDERS)
-@pytest.mark.parametrize("c", [0.5, 1.5, 2.0, -1.0])
+@pytest.mark.parametrize("c", [0.5, 1.5, 2.0, -1.0, 0.0])
 def test_float_coefficients_raise(holder, c):
     with pytest.raises(TypeError):
         holder(c)
@@ -236,3 +237,8 @@ def test_float_coefficients_raise(holder, c):
 def test_true_reads_as_the_int_one(holder):
     (value,) = holder(True).values()
     assert value == 1 and type(value) is int
+
+
+@pytest.mark.parametrize("holder", COEFFICIENT_HOLDERS.values(), ids=COEFFICIENT_HOLDERS)
+def test_false_reads_as_the_int_zero(holder):
+    assert holder(False) == {}
