@@ -2,8 +2,9 @@
 
 The window {tau^-d P_i : 0 <= d < h} lists every indecomposable of the bounded
 derived category up to shift-by-two: half the slots are modules (one per
-positive root), half are their shifts.  The signed K0-class at each slot comes
-from powering the inverse Coxeter transformation.
+positive root), half are their shifts.  The signed K0-class at each slot is
+knitted along the meshes: P_i is e_i plus the classes of its radical, and each
+mesh tau y -> middle -> y gives class(y) = sum(middle) - class(tau y).
 """
 
 from cyclotome import knit, load_quiver, orient

@@ -2,18 +2,19 @@
 
 For a Dynkin quiver the indecomposables of the derived category are the shifts
 of the indecomposable modules, and the modules are classified by the positive
-roots.  Everything is driven by the Coxeter transformation on K_0: the window
-slot (i, d) with 0 <= d < h carries the integer class of tau^{-d} P_i, which
-is the dimension vector of a module when positive and minus the dimension
-vector of a shifted module when negative.  The closed Hom formula uses that
-Hom and Ext^1 never coexist between indecomposables over a Dynkin quiver, so
-hom = max(<, >, 0) and ext = max(-<, >, 0); an independent matrix-level oracle
-lives in reflections.py.
+roots.  The window slot (i, d) with 0 <= d < h carries the integer K_0-class
+of tau^{-d} P_i, which is the dimension vector of a module when positive and
+minus the dimension vector of a shifted module when negative.  The classes are
+knitted along the meshes of the Auslander-Reiten quiver, the mesh category ZQ
+(Happel): each is a sum over the arrows into its slot.  The closed Hom formula
+uses that Hom and Ext^1 never coexist between indecomposables over a Dynkin
+quiver, so hom = max(<, >, 0) and ext = max(-<, >, 0); an independent
+matrix-level oracle lives in reflections.py.
 """
 
 from __future__ import annotations
 
-from .quiver import DynkinQuiver, Frozen, Tables, euler_matrix, euler_form
+from .quiver import DynkinQuiver, Frozen, Tables, euler_form, height_function, unit_vector
 
 
 class MixedSignClassError(RuntimeError):
@@ -46,48 +47,6 @@ class DerivedObject(Frozen):
         return self._values() >= other._values() if type(other) is type(self) else NotImplemented
 
 
-# -- integer matrix helpers (exact, plain tuples) ------------------------------
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
-        for i in range(n)
-    )
-
-
-def mat_vec(a, v):
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
-
-
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def unipotent_inverse(e):
-    """Inverse of E = I - A with A nilpotent: I + A + A^2 + ... (exact)."""
-    n = len(e)
-    a = tuple(tuple((1 if i == j else 0) - e[i][j] for j in range(n)) for i in range(n))
-    total = identity(n)
-    power = a
-    for _ in range(n):
-        if all(all(x == 0 for x in row) for row in power):
-            break
-        total = tuple(
-            tuple(total[i][j] + power[i][j] for j in range(n)) for i in range(n)
-        )
-        power = mat_mul(power, a)
-    return total
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 # -- the AR window -------------------------------------------------------------
 
 class ARQuiver(Tables):
@@ -97,33 +56,39 @@ class ARQuiver(Tables):
     one per positive root) and half carry negative classes (their shifts).
     The irreducible-map arrows follow the repetition-quiver pattern: for each
     quiver arrow s -> t there are slot arrows (t, d) -> (s, d) and
-    (s, d) -> (t, d + 1).
+    (s, d) -> (t, d + 1).  The classes are knitted along these arrows: P_i is
+    its top e_i plus its radical, the sum of the P_t over arrows i -> t, and
+    each mesh tau y -> middle -> y gives class(y) = sum(middle) - class(tau y).
     """
 
     def __init__(self, quiver: DynkinQuiver):
         super().__init__()
         self.quiver = quiver
-        self.h = quiver.coxeter_number
+        self.h = h = quiver.coxeter_number
         n = quiver.n
-        e = euler_matrix(quiver)
-        # -E^{-T} E sends the class of a non-injective module M to the class
-        # of tau^{-1} M (and the class of P_i to minus the class of I_i).
-        inj = unipotent_inverse(e)  # column i-1 = dim I_i
-        proj = mat_transpose(inj)  # column i-1 = dim P_i
-        self.tau_inv_matrix = mat_neg(mat_mul(proj, e))
-
-        self.class_of: dict[Slot, tuple[int, ...]] = {}
-        for i in quiver.vertices:
-            vec = tuple(proj[j][i - 1] for j in range(n))
-            for d in range(self.h):
-                self.class_of[(i, d)] = vec
-                vec = mat_vec(self.tau_inv_matrix, vec)
+        # into[y]: the slots with an irreducible map to y, one per quiver
+        # arrow at i: (t, d) for an arrow i -> t, (s, d - 1) for s -> i.
+        into: dict[Slot, list[Slot]] = {
+            (i, d): [(t, d) if s == i else (s, d - 1)
+                     for s, t in quiver.arrows if s == i or (t == i and d)]
+            for i in quiver.vertices for d in range(h)
+        }
+        # Sinks first: an arrow into (i, d) from the same d comes from a
+        # target of i, which sits one lower in height.
+        xi = height_function(quiver)
+        rows = sorted(quiver.vertices, key=xi.__getitem__)
+        knitted: dict[Slot, tuple[int, ...]] = {}
+        for d in range(h):
+            for i in rows:
+                start = tuple(-x for x in knitted[(i, d - 1)]) if d else unit_vector(quiver, i)
+                middle = (knitted[x] for x in into[(i, d)])
+                knitted[(i, d)] = tuple(map(sum, zip(start, *middle)))
+        self.class_of: dict[Slot, tuple[int, ...]] = dict(sorted(knitted.items()))
 
         self.modules: list[Slot] = []
         self.root_of: dict[Slot, tuple[int, ...]] = {}
         self.slot_of_root: dict[tuple[int, ...], Slot] = {}
-        for slot in sorted(self.class_of):
-            c = self.class_of[slot]
+        for slot, c in self.class_of.items():
             if all(x >= 0 for x in c) and any(x > 0 for x in c):
                 self.modules.append(slot)
                 self.root_of[slot] = c
@@ -146,8 +111,8 @@ class ARQuiver(Tables):
             for i in quiver.vertices
         }
         self.injective: dict[int, Slot] = {
-            i: self.slot_of_root[tuple(inj[j][i - 1] for j in range(n))]
-            for i in quiver.vertices
+            i: self.slot_of_root[tuple(self.class_of[(j, 0)][i - 1] for j in quiver.vertices)]
+            for i in quiver.vertices  # dim I_i at j is dim P_j at i
         }
         self._injective_slots = set(self.injective.values())
 
@@ -163,21 +128,12 @@ class ARQuiver(Tables):
                 raise MixedSignClassError("slot-level shift is not an involution")
 
         # Irreducible-map arrows and mesh middle terms within the window.
-        self.arrows: list[tuple[Slot, Slot]] = []
-        for s, t in quiver.arrows:
-            for d in range(self.h):
-                self.arrows.append(((t, d), (s, d)))
-                if d + 1 < self.h:
-                    self.arrows.append(((s, d), (t, d + 1)))
-        self.arrows.sort()
-        self.mesh: dict[Slot, dict[Slot, int]] = {}  # y -> {middle term: multiplicity}
-        for i in quiver.vertices:
-            for d in range(1, self.h):
-                middle = self.mesh[(i, d)] = {}
-                for s, t in quiver.arrows:
-                    if i in (s, t):
-                        slot = (t, d) if s == i else (s, d - 1)
-                        middle[slot] = middle.get(slot, 0) + 1
+        self.arrows: list[tuple[Slot, Slot]] = sorted(
+            (x, y) for y, xs in into.items() for x in xs
+        )
+        self.mesh: dict[Slot, dict[Slot, int]] = {  # y -> {middle term: multiplicity}
+            y: {x: xs.count(x) for x in xs} for y, xs in into.items() if y[1]
+        }
 
     # -- object bookkeeping --
 

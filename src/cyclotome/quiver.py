@@ -28,8 +28,8 @@ class NotADEError(QuiverError):
     """The underlying tree is not of type A, D, E6, E7 or E8."""
 
 
-#: Coxeter numbers by type family; re-derived in the tests as the
-#: multiplicative order of the Coxeter transformation.
+#: Coxeter numbers by type family; re-derived in the tests as the order of a
+#: Coxeter element s_1...s_n of the Weyl group.
 COXETER_NUMBER = {
     "A": lambda n: n + 1,
     "D": lambda n: 2 * n - 2,
@@ -207,8 +207,8 @@ def make_dynkin_quiver(n: int, arrows: list[tuple[int, int]]) -> DynkinQuiver:
 def load_quiver(text: str) -> DynkinQuiver:
     """Parse the plain-text quiver format.
 
-    One line ``vertices: n`` followed by ``arrow: s t`` lines; blank lines and
-    ``#`` comments are ignored.
+    Exactly one line ``vertices: n`` (a second raises QuiverError) and
+    ``arrow: s t`` lines; blank lines and ``#`` comments are ignored.
     """
     n = None
     arrows: list[tuple[int, int]] = []
@@ -219,6 +219,8 @@ def load_quiver(text: str) -> DynkinQuiver:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         if key == "vertices":
+            if n is not None:
+                raise QuiverError(f"second 'vertices:' line: {raw!r}")
             n = int(rest)
         elif key == "arrow":
             s, t = rest.split()
@@ -336,11 +338,3 @@ def height_function(q: DynkinQuiver) -> dict[int, int]:
                 frontier.append(y)
     return xi
 
-
-def euler_matrix(q: DynkinQuiver) -> tuple[tuple[int, ...], ...]:
-    """The matrix E with E[i][j] = <e_i, e_j>, rows/cols 0-indexed."""
-    rows = []
-    for i in q.vertices:
-        ei = unit_vector(q, i)
-        rows.append(tuple(euler_form(q, ei, unit_vector(q, j)) for j in q.vertices))
-    return tuple(rows)

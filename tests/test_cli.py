@@ -263,6 +263,16 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("cyclotome: error:") if code else err == ""
 
+    def test_second_vertices_line_exits_two(self, tmp_path, capsys):
+        # the later line would otherwise win and load this file as A3
+        spec = tmp_path / "quiver.txt"
+        spec.write_text("vertices: 2\nvertices: 3\narrow: 1 2\narrow: 2 3\n")
+        assert main(["describe", "--orientation", f"file:{spec}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cyclotome: error:")
+        assert "vertices" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_weight_outside_cone_exits_two(self, capsys):
         # sigma(P2) is not a W^S + W^SigmaS vertex
         assert main(["enumerate", "--type", "A2", "--w", "sigma(P2)=1"]) == 2

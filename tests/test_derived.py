@@ -6,6 +6,8 @@ Core claims:
     - tau / tau_inv / shift compose as they should, and the Serre functor
       tau o shift takes P_i to I_i; tau^h = shift^-2
     - mesh middle terms satisfy class additivity
+    - the Euler form alone fixes every knitted class: <P_i, e_j> = delta_ij,
+      and <tau^-1 x, y> = -<y, x> (Serre duality) along each row
     - the closed Hom formula agrees with the intertwiner oracle, on every
       module pair of D5 and E6 in either order of the two gaps
     - the oracle builds one representation per root and one nullity per root
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclotome import all_orientations, knit, orient, reflections
+from cyclotome import all_orientations, euler_form, knit, orient, reflections, unit_vector
 from cyclotome.derived import DerivedObject
 from cyclotome.quiver import cartan_entry
 from cyclotome.reflections import hom_dim_bruteforce, indecomposable_rep, hom_space_dim
@@ -95,6 +97,28 @@ class TestKnit:
                     for k in range(q.n)
                 )
                 assert lhs == total
+
+    @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
+                                   "A6", "D6", "E6", "E7", "E8"])
+    def test_classes_are_fixed_by_the_euler_form(self, t):
+        # The Euler form is unimodular, so the pairings with every e_j fix a
+        # class: <class(i, 0), e_j> = delta_ij makes class(i, 0) = dim P_i, and
+        # Serre duality <tau^-1 x, y> = -<y, x> fixes each class from the one
+        # before it in its row.
+        # every orientation up to rank 5, the two built-in ones above it
+        if int(t[1:]) <= 5:
+            quivers = all_orientations(t)
+        else:
+            quivers = [orient(t, "linear"), orient(t, "alternating")]
+        for q in quivers:
+            ar = knit(q)
+            units = [unit_vector(q, j) for j in q.vertices]
+            for i in q.vertices:
+                assert [euler_form(q, ar.class_of[(i, 0)], e) for e in units] == list(units[i - 1])
+                for d in range(1, ar.h):
+                    x, y = ar.class_of[(i, d - 1)], ar.class_of[(i, d)]
+                    assert [euler_form(q, y, e) for e in units] == [-euler_form(q, e, x)
+                                                                    for e in units]
 
     def test_mesh_middles_are_plain_multiplicity_dicts(self):
         ar = knit(orient("A3", "linear"))  # arrows 2 -> 1 and 3 -> 2

@@ -5,7 +5,13 @@ Core claims:
     - ``verify all --json`` on D4 (mass cap 3) and E6 (mass caps 1 and 4),
       alternating, prints output with the SHA-256 digests pinned below (the
       outputs are 141 KB and 361 KB, so only their digests are kept)
-    - every script under demos/ runs to completion with exit code 0
+    - ``describe --type E8 --orientation alternating --json`` (154 KB) and
+      ``ar-quiver --type E7`` print output with the digests pinned below; both
+      were taken from the window built by powering the Coxeter matrix, before
+      the window was knitted along its meshes, so they hold the two builds to
+      the same bytes
+    - every script under demos/ runs to completion with exit code 0 under
+      ``python -X dev -W error``, so a warning fails it
 
 To refresh a golden file after an intended output change, run the case's argv
 through ``cyclotome`` and overwrite ``tests/golden/<name>.txt``; to refresh a
@@ -76,9 +82,31 @@ def test_verify_all_json_digest(dynkin_type, mass_cap, capsys):
     assert digest == DIGESTS[dynkin_type, mass_cap]
 
 
+WINDOW_DIGESTS = {
+    "describe_e8_alternating_json": (
+        ["describe", "--type", "E8", "--orientation", "alternating", "--json"],
+        "4b4280ccd569f4db9fd508c6afe7f7115fc5d433e006e3c9b2b068315086f50a",
+    ),
+    "ar_quiver_e7": (
+        ["ar-quiver", "--type", "E7"],
+        "4a5afe06e8a71945c70641ca33bdee77943077e9a615b23a1a390bc841c51a02",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_DIGESTS))
+def test_window_output_digest(name, capsys):
+    argv, expected = WINDOW_DIGESTS[name]
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_exits_zero(demo):
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / demo)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-X", "dev", "-W", "error", str(DEMOS / demo)],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,9 @@
 
 Core claims:
     - load_quiver classifies ADE trees and rejects cycles / multi-edges / non-ADE
-    - the Coxeter number table matches the order of the Coxeter transformation
+    - load_quiver refuses a second ``vertices:`` line
+    - the Coxeter number table matches the order of a Coxeter element s_1...s_n,
+      powered here from the reflections alone
     - euler_form is Z-bilinear and cartan_entry symmetric
     - the neighbour table matches the arrows and leaves equality, hashing and
       repr to the four declared fields
@@ -12,6 +14,8 @@ Core claims:
     - the alternating orientation makes every vertex a source or a sink, with
       the sinks exactly the even-height vertices
 """
+
+from itertools import permutations
 
 import pytest
 
@@ -28,11 +32,10 @@ from cyclotome import (
     orient,
     unit_vector,
 )
-from cyclotome.quiver import euler_matrix
-from cyclotome.derived import identity, mat_mul, mat_neg, mat_transpose, unipotent_inverse
+from cyclotome.quiver import QuiverError
 
 
-ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8"]
+ALL_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 8)] + ["E6", "E7", "E8"]
 
 
 # == 1. loading and classification =============================================
@@ -70,6 +73,11 @@ class TestLoadQuiver:
         with pytest.raises(NotADEError):
             make_dynkin_quiver(7, [(2, 1), (3, 2), (4, 1), (5, 4), (6, 1), (7, 6)])
 
+    def test_second_vertices_line_rejected(self):
+        # the later line would silently win and load this as A3
+        with pytest.raises(QuiverError, match="second 'vertices:' line"):
+            load_quiver("vertices: 2\nvertices: 3\narrow: 1 2\narrow: 2 3\n")
+
     @pytest.mark.parametrize("t,h", [("A1", 2), ("A4", 5), ("D4", 6), ("D5", 8),
                                      ("E6", 12), ("E7", 18), ("E8", 30)])
     def test_types_and_coxeter_table(self, t, h):
@@ -80,16 +88,28 @@ class TestLoadQuiver:
 
 # == 2. the Coxeter number re-derived ==========================================
 
-def coxeter_order(q) -> int:
-    """The multiplicative order of the Coxeter matrix of q, by powering it;
-    None past the 64th power."""
-    e = euler_matrix(q)
-    cox = mat_neg(mat_mul(unipotent_inverse(e), mat_transpose(e)))
-    power = cox
+def coxeter_order(q, labels=None) -> int:
+    """The order of the Coxeter element s_1...s_n on root coordinates, or of
+    the product of the s_k in the order of ``labels``, where s_k(beta)_k =
+    sum of beta_j over the neighbours j of k, minus beta_k; None past the
+    64th power.  Reads only q.n and q.arrows."""
+    nbrs = {k: [] for k in range(q.n)}
+    for s, t in q.arrows:
+        nbrs[s - 1].append(t - 1)
+        nbrs[t - 1].append(s - 1)
+
+    def coxeter(beta):
+        beta = list(beta)
+        for k in reversed(labels or range(1, q.n + 1)):  # the last factor acts first
+            beta[k - 1] = sum(beta[j] for j in nbrs[k - 1]) - beta[k - 1]
+        return tuple(beta)
+
+    units = [tuple(int(k == j) for k in range(q.n)) for j in range(q.n)]
+    images = units
     for order in range(1, 65):
-        if power == identity(q.n):
+        images = [coxeter(beta) for beta in images]
+        if images == units:
             return order
-        power = mat_mul(power, cox)
     return None
 
 
@@ -100,8 +120,11 @@ def test_coxeter_number_is_order_of_coxeter_matrix(t):
 
 
 def test_coxeter_order_is_orientation_independent():
-    for q in all_orientations("A3"):
-        assert coxeter_order(q) == 4
+    # each orientation's Coxeter element multiplies the s_k sinks first, and
+    # on a tree every order of the vertices is sinks first for one orientation
+    for q in (orient("A3", "linear"), orient("D4", "linear")):
+        for labels in permutations(q.vertices):
+            assert coxeter_order(q, labels) == q.coxeter_number
 
 
 # == 3. forms ====================================================================
