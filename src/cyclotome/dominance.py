@@ -301,11 +301,18 @@ def positive_roots(index: CycIndex) -> list[tuple[int, ...]]:
     return sorted(index.ar.root_of.values())
 
 
+def _root_weight(index: CycIndex, beta) -> tuple[int, ...]:
+    """beta as a tuple, checked to have one nonnegative entry per vertex."""
+    if len(beta) != index.quiver.n or any(x < 0 for x in beta):
+        raise ValueError(f"beta must be {index.quiver.n} nonnegative integers")
+    return tuple(beta)
+
+
 def kostant_multisets(index: CycIndex, beta: tuple[int, ...]):
-    """Yield every multiset of positive roots summing to beta, as root lists,
-    in lexicographic order of root positions.  Each recursion level takes
-    one root, with its multiplicity from high to low: depth <= |Phi+| + 1."""
-    yield from _multisets(positive_roots(index), tuple(beta), 0)
+    """An iterator over every multiset of positive roots summing to beta, as root
+    lists, in lexicographic order of root positions.  Each recursion level
+    takes one root, with its multiplicity from high to low: depth <= |Phi+| + 1."""
+    return _multisets(positive_roots(index), _root_weight(index, beta), 0)
 
 
 def _multisets(roots, remaining, start):
@@ -326,9 +333,8 @@ def kostant_partitions(index: CycIndex, beta: tuple[int, ...]) -> int:
 
     The counts are kept per quiver in the window's "kostant" table, keyed by
     (remaining, start), so every call on one quiver reuses the earlier ones."""
-    if any(x < 0 for x in beta):
-        raise ValueError("beta must be nonnegative")
-    return _count(positive_roots(index), index.ar.stored("kostant", dict), tuple(beta), 0)
+    beta = _root_weight(index, beta)
+    return _count(positive_roots(index), index.ar.stored("kostant", dict), beta, 0)
 
 
 def _count(roots, memo, remaining, start):

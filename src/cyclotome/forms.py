@@ -90,20 +90,15 @@ def rescale_exponent_lusztig(index: CycIndex, w: dict[Vertex, int]) -> HalfInt:
 
 # -- the d form -----------------------------------------------------------------
 
-def pair_residual(index: CycIndex, pair: VWPair) -> dict[Vertex, int]:
-    """w - C_q v, computed once per pair and index and kept on the index:
-    shared, not to be mutated (dominance.residual returns a fresh dict)."""
-    return index.stored(("residual", pair), residual, index, pair)
-
-
 def _pair_phi(index: CycIndex, pair: VWPair) -> GradedClass:
     """Phi(w) of a pair, computed once per pair and index and kept on the index."""
     return index.stored(("phi", pair), phi, index, pair.w)
 
 
 def d_form(index: CycIndex, m1: VWPair, m2: VWPair) -> int:
-    """d(m1, m2) = (w1 - C_q v1) . sigma* v2 + v1 . sigma* w2."""
-    res = pair_residual(index, m1)
+    """d(m1, m2) = (w1 - C_q v1) . sigma* v2 + v1 . sigma* w2; the residual of m1
+    is kept on the index, once per pair (dominance.residual returns a fresh one)."""
+    res = index.stored(("residual", m1), residual, index, m1)
     total = 0
     for y, c in res.items():
         total += c * m2.v.get(index.sigma(y), 0)

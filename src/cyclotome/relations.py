@@ -18,6 +18,8 @@ from .dominance import (
     VWPair,
     enumerate_l_dominant,
     iota,
+    kostant_partitions,
+    residual,
     sigma_simples,
     v_f,
     v_sigma_f,
@@ -29,7 +31,6 @@ from .forms import (
     hl_extension,
     leading_exponent,
     leading_exponent_tilde,
-    pair_residual,
     phi,
     script_n,
     twist_exponent,
@@ -37,7 +38,6 @@ from .forms import (
 )
 from .laurent import FormalSum, HalfInt, HalfLaurent, T, T_INV
 from .quiver import cartan_entry, euler_form, unit_vector
-from .serre import bareiss_rank
 from .vectors import add, canonical_order, scale
 
 
@@ -500,32 +500,30 @@ def _masses(n: int, cap: int):
 
 def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
     """The pair-level comparison form equals half its weight-level extension
-    on all l-dominant pairs in V+ x W^S of mass <= mass_cap.
+    on all N l-dominant pairs in V+ x W^S of mass <= mass_cap.
 
-    Both sides are bilinear in the pairs' (v, w) coordinates, so the identity
-    holds on all N^2 ordered pairs exactly when it holds on the pairs drawn
-    from a basis of the pool's (v, w) rows, which bareiss_rank picks (over
-    Q(t), where integer rows have their rank over Q).  A listed failure is a
-    failing ordered pair of the pool; the list is empty exactly when all N^2
-    pairs pass."""
+    By the triangular decomposition each such pair is the sum of the lifts
+    iota(M) over one Kostant multiset of its mass vector, so N is the sum of
+    the Kostant counts and the lifts of the modules of height <= mass_cap
+    span the pool.  Both sides are bilinear in the pairs' (v, w) coordinates,
+    so the identity holds on all N^2 ordered pairs exactly when it holds on
+    the ordered pairs of those lifts, which are all that is evaluated.  Each
+    lift is itself a pool member, so a listed failure is a failing ordered
+    pair of the pool, and the list is empty exactly when all N^2 pass."""
+    if mass_cap < 1:
+        raise CaseMismatchError("same-n needs a mass cap of at least 1")
     rep = _report(index, "same-n", (mass_cap,))
-    verts = list(index.quiver.vertices)
-    pool: list[VWPair] = []
-    for masses in _masses(len(verts), mass_cap):
-        w = {sigma_simples(index, i)[0]: mult for i, mult in zip(verts, masses) if mult}
-        pool += [VWPair(v, w) for v in enumerate_l_dominant(index, w)]
-    # v lives on sigma-I-hat and w on I-hat, so the two never share a coordinate
-    coords = sorted({x for m in pool for x in (*m.v, *m.w)})
-    rows = [[(m.v.get(x, 0) + m.w.get(x, 0),) for x in coords] for m in pool]
-    basis = [pool[k] for k in sorted(bareiss_rank(rows))]
+    lifts = [iota(index, m) for m in index.ar.modules if sum(index.ar.root_of[m]) <= mass_cap]
+    residuals = [residual(index, m) for m in lifts]
     failures = []
-    for m1 in basis:
-        for m2 in basis:
+    for m1, res1 in zip(lifts, residuals):
+        for m2, res2 in zip(lifts, residuals):
             lhs = script_n(index, m1, m2)
-            rhs = HalfInt(hl_extension(index, pair_residual(index, m1), pair_residual(index, m2)))
+            rhs = HalfInt(hl_extension(index, res1, res2))
             if lhs != rhs:
                 failures.append((m1, m2, lhs, rhs))
-    rep.add(f"identity holds on all {len(pool)}^2 ordered pairs", failures, [])
+    n = sum(kostant_partitions(index, m) for m in _masses(index.quiver.n, mass_cap))
+    rep.add(f"identity holds on all {n}^2 ordered pairs", failures, [])
     return rep
 
 

@@ -9,6 +9,8 @@ Core claims:
     - enumerate_l_dominant is complete (brute-force check) and counts follow
       Kostant partitions on the W^S sector
     - solve_w_tilde is the unique V+ x W^S lift (brute-force check)
+    - the Kostant functions reject a weight with other than one nonnegative
+      entry per vertex
     - the Kostant recursions go one level per root, not one per root copy:
       a multiplicity of 1500 neither overflows the stack nor changes the
       order in which the multisets come out
@@ -297,6 +299,16 @@ class TestKostant:
         idx = build_index(orient("A3", "linear"))
         assert kostant_partitions(idx, (1500, 0, 0)) == 1
         assert list(kostant_multisets(idx, (1500, 0, 0))) == [[(1, 0, 0)] * 1500]
+
+    @pytest.mark.parametrize("beta", [(1,), (1, 0, 0, 5), (1, -1, 0)])
+    def test_a_malformed_weight_is_rejected(self, beta):
+        # unchecked, a root cut to a short beta never shrinks it, a long
+        # beta loses its tail, and a negative entry reads as no multiset
+        idx = build_index(orient("A3", "linear"))
+        with pytest.raises(ValueError, match="3 nonnegative integers"):
+            kostant_partitions(idx, beta)
+        with pytest.raises(ValueError, match="3 nonnegative integers"):
+            next(kostant_multisets(idx, beta))
 
     @pytest.mark.parametrize("t", ["A3", "A4", "D4"])
     def test_yield_order_is_the_one_copy_per_level_recursion(self, t):

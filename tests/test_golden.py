@@ -2,9 +2,11 @@
 
 Core claims:
     - each subcommand below prints exactly the bytes stored in tests/golden/
-    - ``verify all --json`` on D4 (mass cap 3) and E6 (mass caps 1 and 4),
-      alternating, prints output with the SHA-256 digests pinned below (the
-      outputs are 141 KB and 361 KB, so only their digests are kept)
+    - ``verify all --json`` on D4 (mass cap 3), E6 (mass caps 1, 4 and 8)
+      and E7 (mass cap 6), alternating, prints output with the SHA-256
+      digests pinned below (the outputs run from 142 KB to 571 KB, so only
+      their digests are kept); the high caps hold the same-n pair count N,
+      read from Kostant counts, to the bytes of the enumerated pool
     - ``describe --type E8 --orientation alternating --json`` (154 KB) and
       ``ar-quiver --type E7`` print output with the digests pinned below; both
       were taken from the window built by powering the Coxeter matrix, before
@@ -67,6 +69,8 @@ DIGESTS = {
     ("D4", "3"): "8e194bc0f8d70b5efcf29d8b39329b13ad1df324fb36c40309ca3e642422cd31",
     ("E6", "1"): "e72af0231a239ddbfb265fdc20f31bfd86cbce200c0a8970407f1a0f16dda922",
     ("E6", "4"): "826e376045e1804f477b871e9d0335d3eb3650f8bca3015c11fa1c75ed67e2b9",
+    ("E6", "8"): "f89212a858087111b5d8a4903b9d42c319638c2e133aeb74f8882eec3dce8fd8",
+    ("E7", "6"): "53b048771197eda19e77cd903e9bf4ac277bd9fb980ada18b65443b1e9160a71",
 }
 
 

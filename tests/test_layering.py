@@ -23,7 +23,8 @@ Core claims:
       relations.verify and verify_all, so the dispatch lives in one place
     - the Hom oracle stays independent: reflections.py and serre.py do not
       import each other, directly or through another module, so matrix_rank
-      stays a separate reference for bareiss_rank; and reflections.py never
+      stays a separate reference for bareiss_rank; relations.py does not
+      reach serre.py, since same-n needs no rank; and reflections.py never
       names the stored Euler pairing behind the closed Hom formula it checks
     - the brute-force searches stay independent of the lifts they check:
       enumerate_l_dominant_bruteforce, solve_w_tilde_bruteforce and the
@@ -243,6 +244,7 @@ def reachable_modules(name: str) -> set[str]:
 def test_rank_references_do_not_reach_each_other():
     assert "serre" not in reachable_modules("reflections")
     assert "reflections" not in reachable_modules("serre")
+    assert "serre" not in reachable_modules("relations")
 
 
 def mentions(tree):

@@ -9,14 +9,16 @@ Core claims:
       that relation
     - no verifier passes vacuously: serre on i = i and same-form on a quiver
       with one module raise CaseMismatchError
-    - same-n evaluates only pairs drawn from a basis of its pool, which
-      bareiss_rank picks: its verdict is that of the full loop over all N^2
-      ordered pairs, the basis has the rank the Fraction RREF gives, a
-      perturbed hl_form is caught with real failing pairs, and both sides
-      of the identity are bilinear off the l-dominant pairs too
-    - same-n enumerates only the weights of mass <= its cap, in the order of
-      the filtered product of masses, so a cap of 10**20 raises no
-      OverflowError
+    - same-n evaluates only the ordered pairs of the module lifts of height
+      <= its cap: its verdict is that of the full loop over all N^2 ordered
+      pairs of the enumerated pool, the lifts lie in the pool and span it
+      with independent rows (by the Fraction RREF), a perturbed hl_form is
+      caught with real failing pairs, and both sides of the identity are
+      bilinear off the l-dominant pairs too
+    - same-n reads N from the Kostant counts of the mass vectors of total
+      <= its cap, in the order of the filtered product of masses, so a cap
+      of 10**20 raises no OverflowError; a cap below 1 raises
+      CaseMismatchError, since no lift would be evaluated
 """
 
 import json
@@ -43,12 +45,13 @@ from cyclotome import (
     verify_same_n,
     verify_serre,
 )
-from cyclotome.dominance import enumerate_l_dominant, is_l_dominant, residual, sigma_simples
+from cyclotome.dominance import (
+    enumerate_l_dominant, iota, is_l_dominant, kostant_partitions, residual, sigma_simples,
+)
 from cyclotome.forms import hl_extension, script_n
 from cyclotome.laurent import HalfInt
 from cyclotome.reflections import matrix_rank
 from cyclotome.relations import CaseMismatchError
-from cyclotome.serre import bareiss_rank
 from cyclotome.vectors import add, scale
 
 
@@ -210,22 +213,27 @@ class TestSection5:
         assert verify(idx, "same-form") == []
 
 
-def same_n_weights(idx, mass_cap):
-    """The W^S weights of mass <= mass_cap, in the order same-n enumerates them:
+def same_n_masses(idx, mass_cap):
+    """The mass vectors of total <= mass_cap, in the order same-n counts them:
     the full product of masses, filtered."""
-    verts = list(idx.quiver.vertices)
     return [
-        {sigma_simples(idx, i)[0]: m for i, m in zip(verts, masses) if m}
-        for masses in product(range(mass_cap + 1), repeat=len(verts))
+        masses for masses in product(range(mass_cap + 1), repeat=idx.quiver.n)
         if sum(masses) <= mass_cap
     ]
 
 
 def same_n_pool(idx, mass_cap):
-    """Every l-dominant pair in V+ x W^S of mass <= mass_cap, as same-n draws them."""
-    return [
-        VWPair(v, w) for w in same_n_weights(idx, mass_cap) for v in enumerate_l_dominant(idx, w)
-    ]
+    """Every l-dominant pair in V+ x W^S of mass <= mass_cap, enumerated."""
+    pool = []
+    for masses in same_n_masses(idx, mass_cap):
+        w = {sigma_simples(idx, i)[0]: m for i, m in zip(idx.quiver.vertices, masses) if m}
+        pool += [VWPair(v, w) for v in enumerate_l_dominant(idx, w)]
+    return pool
+
+
+def same_n_lifts(idx, mass_cap):
+    """The lifts of the modules of height <= mass_cap."""
+    return [iota(idx, m) for m in idx.ar.modules if sum(idx.ar.root_of[m]) <= mass_cap]
 
 
 def vw_rows(pool):
@@ -257,9 +265,25 @@ class TestSameNCertificate:
         ]
         assert rep.passed
         assert all(same_n_holds(idx, m1, m2) for m1 in pool for m2 in pool)
-        rows = vw_rows(pool)
-        basis = bareiss_rank([[(x,) for x in row] for row in rows])
-        assert len(basis) == matrix_rank(rows) < len(pool)
+        lifts = same_n_lifts(idx, cap)
+        assert set(lifts) <= set(pool)
+        rows = vw_rows(pool + lifts)
+        assert matrix_rank(rows[:len(pool)]) == matrix_rank(rows) == len(lifts) < len(pool)
+
+    @pytest.mark.parametrize("t", ["A3", "D4"])
+    def test_it_evaluates_each_ordered_lift_pair_once(self, t, monkeypatch):
+        idx = build_index(orient(t, "alternating"))
+        for cap in range(1, 6):
+            seen = []
+
+            def recording(index, m1, m2):
+                seen.append((m1, m2))
+                return script_n(index, m1, m2)
+
+            monkeypatch.setattr(relations, "script_n", recording)
+            assert verify_same_n(idx, cap).passed
+            lifts = same_n_lifts(idx, cap)
+            assert seen == [(m1, m2) for m1 in lifts for m2 in lifts]
 
     def test_a_perturbed_hl_form_fails_on_real_pairs(self, monkeypatch):
         idx = build_index(orient("A3", "alternating"))
@@ -284,27 +308,33 @@ class TestSameNCertificate:
     @pytest.mark.parametrize("t", ["A3", "D4"])
     def test_weights_are_the_filtered_product(self, t, monkeypatch):
         idx = build_index(orient(t, "alternating"))
-        for cap in range(5):
+        for cap in range(1, 5):
             seen = []
 
-            def recording(index, w):
-                seen.append(w)
-                return enumerate_l_dominant(index, w)
+            def recording(index, beta):
+                seen.append(beta)
+                return kostant_partitions(index, beta)
 
-            monkeypatch.setattr(relations, "enumerate_l_dominant", recording)
+            monkeypatch.setattr(relations, "kostant_partitions", recording)
             assert verify_same_n(idx, cap).passed
-            assert seen == same_n_weights(idx, cap)
+            assert seen == same_n_masses(idx, cap)
 
-    def test_a_huge_cap_reaches_the_enumeration(self, monkeypatch):
+    def test_a_huge_cap_reaches_the_count(self, monkeypatch):
         class Reached(Exception):
             pass
 
-        def stop(index, w):
+        def stop(index, beta):
             raise Reached
 
-        monkeypatch.setattr(relations, "enumerate_l_dominant", stop)
+        monkeypatch.setattr(relations, "kostant_partitions", stop)
         with pytest.raises(Reached):
             verify_same_n(a2(), 10**20)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_is_rejected(self, cap):
+        # no module has height 0, so no lift would be evaluated
+        with pytest.raises(CaseMismatchError):
+            verify_same_n(a2(), cap)
 
     @pytest.mark.parametrize("t", ["A3", "D4"])
     def test_both_sides_are_bilinear(self, t):
