@@ -514,7 +514,8 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
         raise CaseMismatchError("same-n needs a mass cap of at least 1")
     rep = _report(index, "same-n", (mass_cap,))
     lifts = [iota(index, m) for m in index.ar.modules if sum(index.ar.root_of[m]) <= mass_cap]
-    residuals = [residual(index, m) for m in lifts]
+    # the residuals d_form keeps on the index; hl_extension only reads them
+    residuals = [index.stored(("residual", m), residual, index, m) for m in lifts]
     failures = []
     for m1, res1 in zip(lifts, residuals):
         for m2, res2 in zip(lifts, residuals):

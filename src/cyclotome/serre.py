@@ -7,14 +7,18 @@ over the fraction field is computed by a sparse, lazily scaled form of
 Bareiss's fraction-free elimination: these matrices are mostly zero, and only
 rows nonzero in a pivot column are touched.  Each slice is spanned by its
 generators and by E_i r, r E_i for r in a basis of a slice one letter below;
-the pivot rows of that slice's elimination are that basis.  The quotient's
-graded dimension must match the Kostant partition count in every degree;
-specializing t could drop rank, so nothing here ever leaves Z[t].
+the pivot rows of that slice's elimination are that basis.  Its columns are
+the words that occur in its rows, sorted, then empty ones up to the number of
+words of its content.  The quotient's graded dimension must match the Kostant
+partition count in every degree; specializing t could drop rank, so nothing
+here ever leaves Z[t].  Most of the arithmetic is a product by a constant or
+a division by 1, which skip the general loops.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import compress, zip_longest
+from math import factorial, prod
 
 from .quiver import DynkinQuiver, cartan_entry
 
@@ -42,6 +46,10 @@ def psub(a, b):
 def pmul(a, b):
     if not a or not b:
         return ()
+    if len(a) == 1 and a[0] and b[-1]:  # a nonzero constant times a trimmed polynomial
+        return tuple(a[0] * y for y in b)
+    if len(b) == 1 and b[0] and a[-1]:
+        return tuple(x * b[0] for x in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -57,6 +65,8 @@ def pdivexact(a, b):
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ()
+    if b == (1,) and a[-1]:
+        return tuple(a)
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     lead = b[-1]
@@ -78,14 +88,14 @@ def bareiss_rank(rows) -> list[int]:
     """Indices of a basis of the rows of a Z[t] matrix over Q(t); their count is its rank.
 
     ``rows`` is a dense list of rows of Z[t] tuples; a zero may be ``()`` or
-    untrimmed.  The indices are those of the pivot rows, in pivot order: the
-    elimination only subtracts pivot rows from other rows, so the input rows
-    at these indices span all the others.  This is Bareiss's elimination
-    (E. H. Bareiss, *Sylvester's identity and multistep integer-preserving
-    Gaussian elimination*, Math. Comp. 22 (1968)) on rows kept as
-    ``{col: poly}``.  A row written at step k holds (k+1)-minors of the
-    input and p_k, the k-th pivot (p_0 = 1), is a k-minor, so each division
-    below is exact and checked by ``pdivexact``.
+    untrimmed; only nonempty cells are read.  The indices are those of the
+    pivot rows, in pivot order: the elimination only subtracts pivot rows from
+    other rows, so the input rows at these indices span all the others.  This
+    is Bareiss's elimination (E. H. Bareiss, *Sylvester's identity and
+    multistep integer-preserving Gaussian elimination*, Math. Comp. 22 (1968))
+    on rows kept as ``{col: poly}``.  A row written at step k holds
+    (k+1)-minors of the input and p_k, the k-th pivot (p_0 = 1), is a k-minor,
+    so each division below is exact and checked by ``pdivexact``.
 
     Columns are taken in order; the pivot is the candidate row with the fewest
     nonzeros, and only rows nonzero in the pivot column are updated.  Dense
@@ -93,14 +103,14 @@ def bareiss_rank(rows) -> list[int]:
     factors telescope, so a row last written at step s is left as it is and
     its next update divides once by p_s:
 
-        r[c] <- (p_(k+1) r[c] - r[col] prow[c]) / p_s.
+        r[c] <- (p_(k+1) r[c] - r[col] prow[c]) / p_s,
 
-    A pivot row last written at step s < k is first brought to step k by
-    multiplying with p_k / p_s.
+    a product with an absent factor dropped.  A pivot row last written at
+    step s < k is first brought to step k by multiplying with p_k / p_s.
     """
     live, step, by_col = {}, {}, {}
     for i, row in enumerate(rows):
-        r = {c: p for c, x in enumerate(row) if (p := ptrim(x))}
+        r = {c: p for c, x in compress(enumerate(row), row) if (p := x if x[-1] else ptrim(x))}
         if r:
             live[i], step[i] = r, 0
             for c in r:
@@ -123,15 +133,16 @@ def bareiss_rank(rows) -> list[int]:
             arc = r.pop(col)
             ps = pivots[step[j]]
             new = {}
-            for c in r.keys() | prow.keys():
-                num = psub(
-                    pmul(pv, r[c]) if c in r else (), pmul(arc, prow[c]) if c in prow else ()
-                )
-                if num:
+            for c, x in r.items():
+                if c not in prow:
+                    new[c] = pdivexact(pmul(pv, x), ps)
+                elif num := psub(pmul(pv, x), pmul(arc, prow[c])):
                     new[c] = pdivexact(num, ps)
-            for c in r.keys() - new.keys():
-                by_col[c].discard(j)
-            for c in new.keys() - r.keys():
+                else:
+                    by_col[c].discard(j)
+            neg = tuple(-y for y in arc)
+            for c in prow.keys() - r.keys():
+                new[c] = pdivexact(pmul(neg, prow[c]), ps)
                 by_col[c].add(j)
             live[j], step[j] = new, k + 1
         pivots.append(pv)
@@ -160,26 +171,6 @@ def serre_generators(quiver: DynkinQuiver):
     return gens
 
 
-def _words(beta):
-    """All words with the given letter content, lexicographically."""
-    letters = []
-    for i, k in enumerate(beta, start=1):
-        letters.extend([i] * k)
-    yield from _arrangements(letters, [])
-
-
-def _arrangements(remaining, prefix):
-    if not remaining:
-        yield tuple(prefix)
-        return
-    used = set()
-    for k, letter in enumerate(remaining):
-        if letter in used:
-            continue
-        used.add(letter)
-        yield from _arrangements(remaining[:k] + remaining[k + 1:], prefix + [letter])
-
-
 def _multidegrees(n, total):
     if n == 1:
         yield (total,)
@@ -201,7 +192,9 @@ def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ..
     Degrees are taken in increasing total degree, and each slice keeps, as
     {word: poly}, the rows at the pivot indices bareiss_rank returns: a basis
     of I_beta.  Every row is one u * gen * w, so it holds its generator's 2
-    or 3 coefficients and is never zero.
+    or 3 coefficients and is never zero.  The rows go to bareiss_rank dense,
+    over the |beta|! / prod(beta_i!) words of content beta: first those that
+    occur in the rows, in lexicographic order, then empty columns.
     """
     if maxdeg > MAX_DEGREE:
         raise DegreeTooLargeError(f"total degree {maxdeg} exceeds cap {MAX_DEGREE}")
@@ -222,8 +215,13 @@ def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ..
             rows = [{(i,) + w: p for w, p in r.items()} for i, r in below]
             rows += [{w + (i,): p for w, p in r.items()} for i, r in below]
             rows += kept.pop(beta, [])
-            words = list(_words(beta))
-            pivots = bareiss_rank([[r.get(w, ()) for w in words] for r in rows])
+            col = {w: c for c, w in enumerate(sorted({w for r in rows for w in r}))}
+            n_words = factorial(total) // prod(map(factorial, beta))
+            dense = [[()] * n_words for _ in rows]
+            for row, r in zip(dense, rows):
+                for w, p in r.items():
+                    row[col[w]] = p
+            pivots = bareiss_rank(dense)
             kept[beta] = [rows[k] for k in pivots]
-            out[beta] = len(words) - len(pivots)
+            out[beta] = n_words - len(pivots)
     return out

@@ -1,7 +1,9 @@
 """Graded dimensions of the quantum Serre quotient vs Kostant partition counts.
 
 Core claims:
-    - polynomial helpers and Bareiss rank are exact
+    - polynomial helpers and Bareiss rank are exact, and the helpers return
+      trimmed tuples on untrimmed input, on their constant and unit fast
+      paths too, agreeing with a schoolbook product and division
     - Bareiss returns distinct row indices, as many as the rank, and the rows
       at those indices are independent
     - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
@@ -11,9 +13,13 @@ Core claims:
     - the quotient's graded dimension equals the Kostant count degree by degree
     - the answer is orientation-independent
     - the degree cap raises instead of silently truncating
+    - the elimination's pivot lists and work on three slices are pinned
 """
 
+import hashlib
 import random
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -25,8 +31,36 @@ from cyclotome import (
     orient,
     serre_quotient_dims,
 )
+from cyclotome import serre
 from cyclotome.reflections import matrix_rank
 from cyclotome.serre import bareiss_rank, pdivexact, pmul, psub, ptrim, serre_generators
+
+
+def trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def schoolbook_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def schoolbook_divmod(a, b):
+    """Quotient and remainder over Q of a by a trimmed nonzero b."""
+    a = trimmed(a)
+    rem = [Fraction(x) for x in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quo))):
+        quo[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= quo[k] * y
+    return trimmed(quo), trimmed(rem)
 
 
 class TestPolynomials:
@@ -38,6 +72,62 @@ class TestPolynomials:
     def test_divexact_rejects_remainder(self):
         with pytest.raises(ArithmeticError):
             pdivexact((1, 1), (2,))
+        with pytest.raises(ArithmeticError):
+            pdivexact((1, 0, 1, 0), (1, 1))
+
+    def test_constant_times_polynomial_in_both_orders(self):
+        assert pmul((3,), (1, 0, -2)) == pmul((1, 0, -2), (3,)) == (3, 0, -6)
+        assert pmul((-1,), (0, 1)) == pmul((0, 1), (-1,)) == (0, -1)
+        assert pmul((3,), (1, 0, -2, 0)) == pmul((1, 0, -2, 0), (3,)) == (3, 0, -6)
+        assert pmul((0,), (0, 1)) == pmul((0, 1), (0,)) == ()
+
+    @pytest.mark.parametrize("a,b,product", [
+        ((0,), (1, 2), ()),
+        ((1, 2), (0,), ()),
+        ((2, 0), (3,), (6,)),
+        ((3,), (2, 0), (6,)),
+        ((2, 0), (1, 1), (2, 2)),
+        ((1, 1), (2, 0), (2, 2)),
+        ((0, 0), (0,), ()),
+    ])
+    def test_mul_trims_untrimmed_operands(self, a, b, product):
+        assert pmul(a, b) == product
+        assert type(pmul(a, b)) is tuple
+
+    @pytest.mark.parametrize("a,quotient", [
+        ((2, 0), (2,)),
+        ((0,), ()),
+        ((1, 0, 3, 0, 0), (1, 0, 3)),
+        ([4, -1], (4, -1)),
+    ])
+    def test_divexact_by_one_trims_and_returns_a_tuple(self, a, quotient):
+        assert pdivexact(a, (1,)) == quotient
+        assert type(pdivexact(a, (1,))) is tuple
+
+    def test_helpers_agree_with_schoolbook_arithmetic(self):
+        rng = random.Random(4126)
+
+        def poly():  # often a constant or 1, often untrimmed
+            shape = rng.random()
+            if shape < 0.2:
+                return (1,)
+            n = 1 if shape < 0.5 else rng.randint(0, 4)
+            return tuple(rng.randint(-3, 3) for _ in range(n))
+
+        for _ in range(2000):
+            a, b = poly(), poly()
+            assert pmul(a, b) == schoolbook_mul(a, b), (a, b)
+            assert psub(a, b) == trimmed(x - y for x, y in zip_longest(a, b, fillvalue=0))
+            d = trimmed(b)
+            if not d:
+                continue
+            for num in (a, schoolbook_mul(a, d) + (0,) * rng.randint(0, 2)):
+                quo, rem = schoolbook_divmod(num, d)
+                if rem or any(q.denominator != 1 for q in quo):
+                    with pytest.raises(ArithmeticError):
+                        pdivexact(num, d)
+                else:
+                    assert pdivexact(num, d) == tuple(map(int, quo)), (num, d)
 
     def test_psub_cancels(self):
         assert psub((1, 2), (1, 2)) == ()
@@ -180,3 +270,23 @@ class TestQuotientDims:
         q = orient("A2", "linear")
         with pytest.raises(DegreeTooLargeError):
             serre_quotient_dims(q, 9)
+
+
+def test_elimination_work_is_pinned(monkeypatch):
+    """bareiss_rank's pivot lists, call count and dense cell count across
+    serre_quotient_dims on A4, D4 (degree 5) and E6 (degree 4), alternating.
+    A change of pivot order must update this pin and say so in CHANGES.md."""
+    calls = []
+    real = serre.bareiss_rank
+
+    def spy(rows):
+        calls.append((len(rows) * len(rows[0]) if rows else 0, real(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(serre, "bareiss_rank", spy)
+    for t, maxdeg in [("A4", 5), ("D4", 5), ("E6", 4)]:
+        serre_quotient_dims(orient(t, "alternating"), maxdeg)
+    assert len(calls) == 459
+    assert sum(cells for cells, _ in calls) == 116_034
+    digest = hashlib.sha256(repr([pivots for _, pivots in calls]).encode()).hexdigest()
+    assert digest == "cadcf0c6f3b3479c22e0b1c615116d8a208756e43f981c2f5ab9521330706f67"
