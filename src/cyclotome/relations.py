@@ -18,7 +18,6 @@ from .dominance import (
     VWPair,
     enumerate_l_dominant,
     iota,
-    kostant_partitions,
     residual,
     sigma_simples,
     v_f,
@@ -488,14 +487,9 @@ def verify_same_form(index: CycIndex) -> VerificationReport:
     return rep
 
 
-def _masses(n: int, cap: int):
-    """The n-tuples of nonnegative ints with total <= cap, in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for m in range(cap + 1):
-        for rest in _masses(n - 1, cap - m):
-            yield (m, *rest)
+#: The largest mass cap verify_same_n accepts: it counts N over a list of cap + 1
+#: integers, so a cap of 10**9 would take gigabytes; E8 at this bound takes a few seconds.
+MAX_MASS_CAP = 10**5
 
 
 def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
@@ -503,17 +497,18 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
     on all N l-dominant pairs in V+ x W^S of mass <= mass_cap.
 
     By the triangular decomposition each such pair is the sum of the lifts
-    iota(M) over one Kostant multiset of its mass vector, so N is the sum of
-    the Kostant counts and the lifts of the modules of height <= mass_cap
-    span the pool.  Both sides are bilinear in the pairs' (v, w) coordinates,
-    so the identity holds on all N^2 ordered pairs exactly when it holds on
-    the ordered pairs of those lifts, which are all that is evaluated.  Each
-    lift is itself a pool member, so a listed failure is a failing ordered
-    pair of the pool, and the list is empty exactly when all N^2 pass."""
-    if mass_cap < 1:
-        raise CaseMismatchError("same-n needs a mass cap of at least 1")
+    iota(M) over one Kostant multiset of its mass vector, so N counts the
+    multisets of modules of total root height <= mass_cap, and the lifts of the
+    modules of height <= mass_cap span the pool.  Both sides are bilinear in
+    (v, w), so the identity holds on all N^2 ordered pairs exactly when it
+    holds on the ordered pairs of those lifts, the only ones evaluated.  Each
+    lift is a pool member, so a listed failure is a failing ordered pair of the
+    pool.  A cap above MAX_MASS_CAP is refused."""
+    if not 1 <= mass_cap <= MAX_MASS_CAP:
+        raise CaseMismatchError(f"same-n mass cap must be from 1 to {MAX_MASS_CAP}, got {mass_cap}")
     rep = _report(index, "same-n", (mass_cap,))
-    lifts = [iota(index, m) for m in index.ar.modules if sum(index.ar.root_of[m]) <= mass_cap]
+    heights = {m: sum(index.ar.root_of[m]) for m in index.ar.modules}
+    lifts = [iota(index, m) for m, h in heights.items() if h <= mass_cap]
     # the residuals d_form keeps on the index; hl_extension only reads them
     residuals = [index.stored(("residual", m), residual, index, m) for m in lifts]
     failures = []
@@ -523,8 +518,11 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
             rhs = HalfInt(hl_extension(index, res1, res2))
             if lhs != rhs:
                 failures.append((m1, m2, lhs, rhs))
-    n = sum(kostant_partitions(index, m) for m in _masses(index.quiver.n, mass_cap))
-    rep.add(f"identity holds on all {n}^2 ordered pairs", failures, [])
+    count = [1] + [0] * mass_cap  # count[k]: the multisets of modules of total height k
+    for h in heights.values():
+        for k in range(h, mass_cap + 1):
+            count[k] += count[k - h]
+    rep.add(f"identity holds on all {sum(count)}^2 ordered pairs", failures, [])
     return rep
 
 

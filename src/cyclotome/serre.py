@@ -67,6 +67,10 @@ def pdivexact(a, b):
         return ()
     if b == (1,) and a[-1]:
         return tuple(a)
+    if b[-1] == 0:
+        b = ptrim(b)
+        if not b:
+            raise ZeroDivisionError("division by the zero polynomial")
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     lead = b[-1]

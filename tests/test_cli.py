@@ -7,6 +7,7 @@ Core claims:
     - the documented literal grammar (numeric and named tokens) round-trips
     - malformed input exits 2 with a message, never a traceback (seeded fuzz)
     - a verify that would run no case exits 2 instead of passing vacuously
+    - a --mass-cap above the same-n bound exits 2 at once with one error line
     - a verify with a failing check exits 1 and shows the check in text, JSON
       and Markdown; ar-quiver without --dot prints one line per window slot
     - a reader that closes the output pipe early gets exit 1 and nothing on stderr
@@ -248,6 +249,20 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err
         assert "pass" not in captured.out
+
+    def test_cap_above_the_bound_exits_two_at_once(self):
+        # in a child with a timeout, so a count that the bound fails to stop
+        # fails the test instead of hanging it
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["verify", "same-n", "--type", "A2", "--mass-cap", "99999999999999999999"]
+        child = subprocess.run(
+            [sys.executable, "-m", "cyclotome.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        (line,) = child.stderr.splitlines()
+        assert line.startswith("cyclotome: error:") and str(relations.MAX_MASS_CAP) in line
+        assert "Traceback" not in child.stderr
 
     @pytest.mark.parametrize("dynkin_type", ["", "A", "Z3"])
     def test_bad_type_exits_two(self, dynkin_type, capsys):

@@ -26,6 +26,8 @@ Core claims:
       stays a separate reference for bareiss_rank; relations.py does not
       reach serre.py, since same-n needs no rank; and reflections.py never
       names the stored Euler pairing behind the closed Hom formula it checks
+    - relations.py never names kostant_partitions, so same-n's N shares no
+      code path with the Kostant sum the tests check it against
     - the brute-force searches stay independent of the lifts they check:
       enumerate_l_dominant_bruteforce, solve_w_tilde_bruteforce and the
       search they share name neither iota, the Kostant multisets, the stored
@@ -245,6 +247,12 @@ def test_rank_references_do_not_reach_each_other():
     assert "serre" not in reachable_modules("reflections")
     assert "reflections" not in reachable_modules("serre")
     assert "serre" not in reachable_modules("relations")
+
+
+def test_same_n_counts_n_without_the_kostant_oracle():
+    # the tests check N against a sum of kostant_partitions, so the count
+    # under test must not reach that function itself
+    assert "kostant_partitions" not in (PACKAGE / "relations.py").read_text(encoding="utf-8")
 
 
 def mentions(tree):

@@ -15,15 +15,18 @@ Core claims:
       with independent rows (by the Fraction RREF), a perturbed hl_form is
       caught with real failing pairs, and both sides of the identity are
       bilinear off the l-dominant pairs too
-    - same-n reads N from the Kostant counts of the mass vectors of total
-      <= its cap, in the order of the filtered product of masses, so a cap
-      of 10**20 raises no OverflowError; a cap below 1 raises
-      CaseMismatchError, since no lift would be evaluated
+    - same-n's N, counted from the root heights of the modules, equals the
+      sum of the Kostant counts of the mass vectors of total <= its cap (a
+      test-side oracle that shares no code with the count), and on A2 at the
+      largest cap it equals a closed form
+    - a cap below 1 raises CaseMismatchError, since no lift would be
+      evaluated, and so does a cap above MAX_MASS_CAP, 10**20 among them
 """
 
 import json
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -51,7 +54,7 @@ from cyclotome.dominance import (
 from cyclotome.forms import hl_extension, script_n
 from cyclotome.laurent import HalfInt
 from cyclotome.reflections import matrix_rank
-from cyclotome.relations import CaseMismatchError
+from cyclotome.relations import MAX_MASS_CAP, CaseMismatchError
 from cyclotome.vectors import add, scale
 
 
@@ -214,8 +217,7 @@ class TestSection5:
 
 
 def same_n_masses(idx, mass_cap):
-    """The mass vectors of total <= mass_cap, in the order same-n counts them:
-    the full product of masses, filtered."""
+    """The mass vectors of total <= mass_cap: the full product of masses, filtered."""
     return [
         masses for masses in product(range(mass_cap + 1), repeat=idx.quiver.n)
         if sum(masses) <= mass_cap
@@ -229,6 +231,12 @@ def same_n_pool(idx, mass_cap):
         w = {sigma_simples(idx, i)[0]: m for i, m in zip(idx.quiver.vertices, masses) if m}
         pool += [VWPair(v, w) for v in enumerate_l_dominant(idx, w)]
     return pool
+
+
+def same_n_count(report):
+    """The N that a same-n report names in its check."""
+    (check,) = report.checks
+    return int(check.name.removeprefix("identity holds on all ").removesuffix("^2 ordered pairs"))
 
 
 def same_n_lifts(idx, mass_cap):
@@ -305,30 +313,27 @@ class TestSameNCertificate:
             assert rhs == HalfInt(hl_extension(idx, residual(idx, m1), residual(idx, m2)))
             assert not same_n_holds(idx, m1, m2)
 
-    @pytest.mark.parametrize("t", ["A3", "D4"])
-    def test_weights_are_the_filtered_product(self, t, monkeypatch):
-        idx = build_index(orient(t, "alternating"))
-        for cap in range(1, 5):
-            seen = []
+    @pytest.mark.parametrize("t,o,top", [
+        *((t, o, 4) for t in ("A3", "D4") for o in ("linear", "alternating")),
+        ("E6", "alternating", 3),
+    ])
+    def test_n_is_the_kostant_sum(self, t, o, top):
+        idx = build_index(orient(t, o))
+        for cap in range(1, top + 1):
+            oracle = sum(kostant_partitions(idx, beta) for beta in same_n_masses(idx, cap))
+            assert same_n_count(verify_same_n(idx, cap)) == oracle, cap
 
-            def recording(index, beta):
-                seen.append(beta)
-                return kostant_partitions(index, beta)
+    @pytest.mark.parametrize("cap", [MAX_MASS_CAP + 1, 10**20])
+    def test_a_cap_above_the_bound_is_rejected(self, cap):
+        with pytest.raises(CaseMismatchError, match=f"from 1 to {MAX_MASS_CAP}, got {cap}$"):
+            verify_same_n(a2(), cap)
 
-            monkeypatch.setattr(relations, "kostant_partitions", recording)
-            assert verify_same_n(idx, cap).passed
-            assert seen == same_n_masses(idx, cap)
-
-    def test_a_huge_cap_reaches_the_count(self, monkeypatch):
-        class Reached(Exception):
-            pass
-
-        def stop(index, beta):
-            raise Reached
-
-        monkeypatch.setattr(relations, "kostant_partitions", stop)
-        with pytest.raises(Reached):
-            verify_same_n(a2(), 10**20)
+    def test_n_at_the_bound_is_the_a2_closed_form(self):
+        # A2 has two roots of height 1 and one of height 2: with c of the
+        # latter, the others share at most cap - 2c in C(cap - 2c + 2, 2) ways
+        cap = MAX_MASS_CAP
+        expected = sum(comb(cap - 2 * c + 2, 2) for c in range(cap // 2 + 1))
+        assert same_n_count(verify_same_n(a2(), cap)) == expected
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_a_cap_below_one_is_rejected(self, cap):

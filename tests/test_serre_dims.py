@@ -3,7 +3,8 @@
 Core claims:
     - polynomial helpers and Bareiss rank are exact, and the helpers return
       trimmed tuples on untrimmed input, on their constant and unit fast
-      paths too, agreeing with a schoolbook product and division
+      paths too, agreeing with a schoolbook product and division; exact
+      division trims an untrimmed divisor and names the zero polynomial
     - Bareiss returns distinct row indices, as many as the rank, and the rows
       at those indices are independent
     - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
@@ -74,6 +75,12 @@ class TestPolynomials:
             pdivexact((1, 1), (2,))
         with pytest.raises(ArithmeticError):
             pdivexact((1, 0, 1, 0), (1, 1))
+
+    def test_divexact_trims_the_divisor(self):
+        assert pdivexact((2,), (1, 0)) == (2,)
+        assert pdivexact((0, 3, 3), (1, 1, 0, 0)) == (0, 3)
+        with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+            pdivexact((2,), (0,))
 
     def test_constant_times_polynomial_in_both_orders(self):
         assert pmul((3,), (1, 0, -2)) == pmul((1, 0, -2), (3,)) == (3, 0, -6)
