@@ -102,8 +102,8 @@ def d_form(index: CycIndex, m1: VWPair, m2: VWPair) -> int:
     total = 0
     for y, c in res.items():
         total += c * m2.v.get(index.sigma(y), 0)
-    for x, c in m1.v.items():
-        total += c * m2.w.get(index.sigma(x), 0)
+    for y, c in m2.w.items():
+        total += c * m1.v.get(index.sigma_inv(y), 0)
     return total
 
 

@@ -1,9 +1,11 @@
 """Explicit matrix representations and a brute-force Hom oracle.
 
 Indecomposable representations are built from simples by unwinding reflection
-functors along an admissible (sinks-first) vertex ordering; Hom dimensions are
-then the nullities of the intertwiner systems ``phi_t M_h = N_h phi_s``.  This
-path never consults the Euler-form shortcut for Hom, so it serves as an
+functors (Bernstein, Gelfand and Ponomarev) along an admissible (sinks-first)
+vertex ordering; each step replaces the space at a source by the cokernel of
+its out-map, read off one row reduction of that map's columns.  Hom dimensions
+are then the nullities of the intertwiner systems ``phi_t M_h = N_h phi_s``.
+This path never consults the Euler-form shortcut for Hom, so it serves as an
 independent check of the closed formula in derived.py (Ext^1 on the shift-one
 gap is recovered as hom - <,>, exact because the category is hereditary).
 """
@@ -115,60 +117,33 @@ def matrix_rank(rows) -> int:
 def _cokernel_projection(f_columns, dim_total):
     """A (dim_total - r) x dim_total matrix whose kernel is the span of the columns.
 
-    The reduced image basis is extended to a basis of the whole space by the
-    standard vectors that are pivot columns of [basis^T | I], the first that
-    are independent of the basis and of each other.  With T = [basis | those
-    vectors], the quotient coordinates are the bottom rows of T^-1, read off
-    the reduced form of [T | I].
+    One row per free coordinate j of the columns' reduced form: 1 at j and minus
+    column j's reduced entries at the pivots.  The rows are independent and
+    vanish on every column, so their common kernel is exactly the span.
     """
-    basis, _ = _rref(f_columns)
-    r = len(basis)
-    eye = [[int(i == j) for j in range(dim_total)] for i in range(dim_total)]
-    _, pivots = _rref([[b[i] for b in basis] + eye[i] for i in range(dim_total)])
-    t_cols = basis + [eye[p - r] for p in pivots[r:]]
-    tinv, _ = _rref([[col[i] for col in t_cols] + eye[i] for i in range(dim_total)])
-    return tuple(tuple(row[dim_total:]) for row in tinv[r:])
+    reduced, pivots = _rref(f_columns)
+    rows = []
+    for j in (c for c in range(dim_total) if c not in pivots):
+        row = [int(i == j) for i in range(dim_total)]
+        for p, red in zip(pivots, reduced):
+            row[p] = -red[j]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _reflect_source_minus(rep: Rep, k: int) -> Rep:
     """C_k^- at a source k: replace the space at k by the cokernel of the out-map."""
-    out_arrows = sorted((s, t) for s, t in rep.arrows if s == k)
-    blocks = [(t, rep.dims[t]) for _, t in out_arrows]
-    dim_total = sum(d for _, d in blocks)
-    m = rep.dims[k]
-    # columns of the stacked map f: M_k -> (+) M_t
-    f_columns = []
-    for c in range(m):
-        col = []
-        for (s, t) in out_arrows:
-            mat = rep.maps[(s, t)]
-            col.extend(mat[r][c] for r in range(rep.dims[t]))
-        f_columns.append(col)
-    pi = _cokernel_projection(f_columns, dim_total)
-    new_dim_k = len(pi)
-
-    new_arrows = _reflect_arrows(rep.arrows, k)
-    dims = dict(rep.dims)
-    dims[k] = new_dim_k
-    maps = {}
+    if any(t == k for _, t in rep.arrows):
+        raise ValueError(f"vertex {k} is not a source")
+    targets = sorted(t for s, t in rep.arrows if s == k)
+    stacked = [row for t in targets for row in rep.maps[(k, t)]]  # f: M_k -> (+) M_t
+    proj = _cokernel_projection(list(zip(*stacked)), len(stacked))
+    maps = {arrow: mat for arrow, mat in rep.maps.items() if arrow[0] != k}
     offset = 0
-    offsets = {}
-    for t, d in blocks:
-        offsets[t] = offset
-        offset += d
-    for s, t in rep.arrows:
-        if s == k:
-            off = offsets[t]
-            block = tuple(
-                tuple(pi[r][off + c] for c in range(rep.dims[t]))
-                for r in range(new_dim_k)
-            )
-            maps[(t, k)] = block
-        elif t == k:
-            raise ValueError(f"vertex {k} is not a source")
-        else:
-            maps[(s, t)] = rep.maps[(s, t)]
-    return Rep(new_arrows, dims, maps)
+    for t in targets:
+        maps[(t, k)] = tuple(row[offset:offset + rep.dims[t]] for row in proj)
+        offset += rep.dims[t]
+    return Rep(_reflect_arrows(rep.arrows, k), {**rep.dims, k: len(proj)}, maps)
 
 
 def indecomposable_rep(quiver: DynkinQuiver, root: tuple[int, ...]) -> Rep:

@@ -458,31 +458,23 @@ def verify_same_form(index: CycIndex) -> VerificationReport:
         raise CaseMismatchError("same-form needs two modules to compare")
     rep = _report(index, "same-form", ())
     lifts = {m: iota(index, m) for m in ar.modules}
-    failures = []
+    heights = {m: window_height(index, m) for m in ar.modules}
+    failures, bad = [], []
     pairs = 0
     for m in ar.modules:
         for n in ar.modules:
-            if m == n or window_height(index, m) > window_height(index, n):
+            if m == n or heights[m] > heights[n]:
                 continue
             pairs += 1
             im, in_ = lifts[m], lifts[n]
             mn, nm = ar.euler_pairing(m, n), ar.euler_pairing(n, m)
+            if heights[m] == heights[n] and mn + nm != 0:
+                bad.append((m, n))
             lhs = HalfInt(2 * (d_form(index, in_, im) - d_form(index, im, in_)) + (nm - mn))
             rhs = HalfInt(mn + nm)
             if lhs != rhs:
                 failures.append((m, n, lhs, rhs))
     rep.add(f"identity holds on all {pairs} eligible ordered pairs", failures, [])
-    equal_height = [
-        (m, n)
-        for m in ar.modules
-        for n in ar.modules
-        if m != n and window_height(index, m) == window_height(index, n)
-    ]
-    bad = [
-        (m, n)
-        for m, n in equal_height
-        if ar.euler_pairing(m, n) + ar.euler_pairing(n, m) != 0
-    ]
     rep.add("equal heights force (M,N) = 0", bad, [])
     return rep
 

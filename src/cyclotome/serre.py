@@ -61,16 +61,14 @@ def pmul(a, b):
 
 def pdivexact(a, b):
     """Exact division in Z[t]; raises if the division leaves a remainder."""
+    if b and b[-1] == 0:
+        b = ptrim(b)
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ()
     if b == (1,) and a[-1]:
         return tuple(a)
-    if b[-1] == 0:
-        b = ptrim(b)
-        if not b:
-            raise ZeroDivisionError("division by the zero polynomial")
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     lead = b[-1]

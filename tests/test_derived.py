@@ -12,8 +12,13 @@ Core claims:
       module pair of D5 and E6 in either order of the two gaps
     - the oracle builds one representation per root and one nullity per root
       pair, whichever gaps it is asked: D4 at both gaps takes 12 and 144
+    - the oracle's representations have the root as dimension vector, map
+      entries of -1, 0 and 1 only, and a local endomorphism ring, on every
+      orientation of D5 and both built-in ones of E8
     - the oracle's elimination returns the reduced row echelon form of its
-      input, with the pivot list
+      input, with the pivot list, and the cokernel projection read off it
+      has rows that vanish on the columns, are independent, and number
+      dim_total - rank
     - Hom wraps correctly through the slot-level tau
 """
 
@@ -213,13 +218,20 @@ class TestHomDim:
 
 # == 4. the brute-force oracle ======================================================
 
+def wide_oracle_quivers():
+    """Every orientation of D5 and both built-in ones of E8: 560 representations."""
+    return [*all_orientations("D5"), orient("E8", "linear"), orient("E8", "alternating")]
+
+
 class TestOracle:
     def test_reps_have_root_dimensions(self):
-        q = orient("A3", "linear")
-        ar = knit(q)
-        for slot in ar.modules:
-            rep = indecomposable_rep(q, ar.root_of[slot])
-            assert tuple(rep.dims[i] for i in q.vertices) == ar.root_of[slot]
+        for q in wide_oracle_quivers():
+            ar = knit(q)
+            for slot in ar.modules:
+                rep = indecomposable_rep(q, ar.root_of[slot])
+                assert tuple(rep.dims[i] for i in q.vertices) == ar.root_of[slot], (q, slot)
+                entries = [x for mat in rep.maps.values() for row in mat for x in row]
+                assert all(type(x) is int and -1 <= x <= 1 for x in entries), (q, slot)
 
     def test_simple_homs(self):
         ar = knit(orient("A3", "linear"))
@@ -237,11 +249,11 @@ class TestOracle:
                 assert hom_dim_bruteforce(ar, p, n) == ar.root_of[slot][i - 1]
 
     def test_indecomposable_end_ring_is_local(self):
-        q = orient("D4", "alternating")
-        ar = knit(q)
-        for slot in ar.modules:
-            rep = indecomposable_rep(q, ar.root_of[slot])
-            assert hom_space_dim(rep, rep) == 1
+        for q in wide_oracle_quivers():
+            ar = knit(q)
+            for slot in ar.modules:
+                rep = indecomposable_rep(q, ar.root_of[slot])
+                assert hom_space_dim(rep, rep) == 1, (q, slot)
 
     @pytest.mark.parametrize("t", ["A2", "A3"])
     def test_oracle_matches_closed_formula_everywhere(self, t):
@@ -352,3 +364,34 @@ class TestRref:
         assert reflections._rref(rows) == ([[1, 0], [0, 1]], [0, 1])
         assert reflections.matrix_rank(rows) == 2
         assert reflections._rref([]) == ([], [])
+
+
+def random_columns(seed):
+    """Integer columns of one length, some of them combinations of the others."""
+    rng = random.Random(seed)
+    dim_total = rng.randint(1, 7)
+    columns = [[rng.choice([-2, -1, 0, 0, 0, 1, 3]) for _ in range(dim_total)]
+               for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(columns), rng.choice(columns)
+        columns.insert(rng.randint(0, len(columns)), [2 * x - y for x, y in zip(a, b)])
+    return columns, dim_total
+
+
+class TestCokernelProjection:
+    """reflections._cokernel_projection returns a basis of the columns' left
+    null space: its rows cut out exactly their span."""
+
+    @pytest.mark.parametrize("columns,dim_total", [
+        *(random_columns(seed) for seed in range(40)),
+        ([], 4),
+        ([[0, 0, 0], [0, 0, 0]], 3),
+        ([], 0),
+        ([[], []], 0),
+    ])
+    def test_rows_cut_out_the_span(self, columns, dim_total):
+        proj = reflections._cokernel_projection(columns, dim_total)
+        assert all(len(row) == dim_total for row in proj)
+        assert all(sum(a * b for a, b in zip(row, col)) == 0 for row in proj for col in columns)
+        assert len(proj) == dim_total - reflections.matrix_rank(columns)
+        assert reflections.matrix_rank(proj) == len(proj)

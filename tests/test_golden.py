@@ -2,11 +2,12 @@
 
 Core claims:
     - each subcommand below prints exactly the bytes stored in tests/golden/
-    - ``verify all --json`` on D4 (mass cap 3), E6 (mass caps 1, 4 and 8)
-      and E7 (mass cap 6), alternating, prints output with the SHA-256
-      digests pinned below (the outputs run from 142 KB to 571 KB, so only
-      their digests are kept); the high caps hold the same-n pair count N,
-      read from Kostant counts, to the bytes of the enumerated pool
+    - ``verify all --json`` on D4 (mass cap 3), E6 (mass caps 1, 4 and 8),
+      E7 (mass cap 6) and E8 (mass cap 1), alternating, prints output with
+      the SHA-256 digests pinned below (the outputs run from 142 KB to
+      994 KB, so only their digests are kept); the high caps hold the same-n
+      pair count N, counted from the modules' root heights, to the bytes of
+      the enumerated pool, and E8 holds the pair form d on the largest lifts
     - ``describe --type E8 --orientation alternating --json`` (154 KB) and
       ``ar-quiver --type E7`` print output with the digests pinned below; both
       were taken from the window built by powering the Coxeter matrix, before
@@ -71,6 +72,7 @@ DIGESTS = {
     ("E6", "4"): "826e376045e1804f477b871e9d0335d3eb3650f8bca3015c11fa1c75ed67e2b9",
     ("E6", "8"): "f89212a858087111b5d8a4903b9d42c319638c2e133aeb74f8882eec3dce8fd8",
     ("E7", "6"): "53b048771197eda19e77cd903e9bf4ac277bd9fb980ada18b65443b1e9160a71",
+    ("E8", "1"): "16bacc2f76bd860499f08c013beeb546301ec8d4195a3c838094d2b8747e6def",
 }
 
 

@@ -35,7 +35,9 @@ Core claims:
     - every function and method under src/, dunders aside, is named by code
       outside its own body in src/ (not counting the re-exports of
       __init__.py), demos/ or bench/, or sits on a short keep-list that gives
-      its reason; so code that only its own tests call does not come back
+      its reason; so code that only its own tests call does not come back.  A
+      method is named only as an attribute or a string, so a local variable
+      of the same name does not keep it
 """
 
 import ast
@@ -255,11 +257,13 @@ def test_same_n_counts_n_without_the_kostant_oracle():
     assert "kostant_partitions" not in (PACKAGE / "relations.py").read_text(encoding="utf-8")
 
 
-def mentions(tree):
-    """Each name, attribute and string constant in a tree, once per occurrence."""
+def mentions(tree, names=True):
+    """Each name, attribute and string constant in a tree, once per occurrence;
+    with names=False, the attributes and string constants only."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if names:
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -296,16 +300,26 @@ def test_enumeration_oracles_never_name_the_lifts(oracle):
 def unreached(defining, using) -> list[str]:
     """The functions and methods defined in the `defining` trees, dunders
     aside, that no code outside their own bodies names in the `using` trees,
-    which hold the defining ones.  A name counts as a Name, an Attribute or a
-    string constant equal to it, since bench/tracer.py wraps functions by name."""
-    total = Counter(name for tree in using for name in mentions(tree))
-    return sorted(
-        node.name
-        for tree in defining for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and total[node.name] == Counter(mentions(node))[node.name]
-    )
+    which hold the defining ones.  A function counts as named by a Name, an
+    Attribute or a string constant equal to it, since bench/tracer.py wraps
+    functions by name; a method only by an Attribute or a string constant,
+    since a bare Name is a local or global variable, never a method."""
+    methods = {
+        id(node)
+        for tree in defining for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    }
+    total = {names: Counter(name for tree in using for name in mentions(tree, names))
+             for names in (True, False)}
+    found = []
+    for tree in defining:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                names = id(node) not in methods
+                if total[names][node.name] == Counter(mentions(node, names))[node.name]:
+                    found.append(node.name)
+    return sorted(found)
 
 
 @pytest.mark.parametrize("source,names", [
@@ -313,6 +327,7 @@ def unreached(defining, using) -> list[str]:
     ("def f(n): return f(n - 1)", ["f"]),
     ("class A:\n    def m(self): pass\n    def __eq__(self, o): return self.m()", []),
     ("def f(): pass\nTARGETS = [('mod', 'f')]", []),
+    ("class A:\n    def pi(self): pass\ndef f():\n    pi = 1\n    return pi", ["f", "pi"]),
 ])
 def test_unreached_detector(source, names):
     tree = ast.parse(source)
@@ -325,6 +340,7 @@ KEEP = {
     "rescale_exponent_lusztig": "the abstract's 'up to rescaling', Lusztig's normalization",
     "solve_w_tilde_bruteforce": "the oracle that solve_w_tilde is checked against",
     "sigma_shift": "the shift functor; the acceptance gate checks tau^h against it",
+    "pi": "the covering map; the tests check the section and tau against it",
     "bar": "the bar involution that README promises",
     "quantum_int": "the quantum integers that README promises",
     "all_orientations": "the orientation sweeps the tests run over",

@@ -4,7 +4,8 @@ Core claims:
     - polynomial helpers and Bareiss rank are exact, and the helpers return
       trimmed tuples on untrimmed input, on their constant and unit fast
       paths too, agreeing with a schoolbook product and division; exact
-      division trims an untrimmed divisor and names the zero polynomial
+      division trims an untrimmed divisor and names the zero polynomial,
+      also under a zero dividend
     - Bareiss returns distinct row indices, as many as the rank, and the rows
       at those indices are independent
     - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
@@ -81,6 +82,11 @@ class TestPolynomials:
         assert pdivexact((0, 3, 3), (1, 1, 0, 0)) == (0, 3)
         with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
             pdivexact((2,), (0,))
+
+    @pytest.mark.parametrize("divisor", [(0,), (0, 0)])
+    def test_divexact_rejects_a_zero_divisor_under_a_zero_dividend(self, divisor):
+        with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+            pdivexact((), divisor)
 
     def test_constant_times_polynomial_in_both_orders(self):
         assert pmul((3,), (1, 0, -2)) == pmul((1, 0, -2), (3,)) == (3, 0, -6)
