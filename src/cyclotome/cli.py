@@ -100,18 +100,16 @@ def parse_sparse(index: CycIndex, literal: str) -> dict:
 
 def parse_pair(index: CycIndex, literal: str) -> VWPair:
     """Parse ``v=<sparse>;w=<sparse>`` into a pair (index discipline enforced)."""
-    v: dict = {}
-    w: dict = {}
+    sides: dict = {}
     for part in literal.split(";"):
         side, _, body = part.partition("=")
         side = side.strip()
-        if side == "v":
-            v = parse_sparse(index, body)
-        elif side == "w":
-            w = parse_sparse(index, body)
-        else:
+        if side not in ("v", "w"):
             raise ValueError(f"pair literal needs v=...;w=..., got {side!r}")
-    return validate_pair(index, VWPair(v, w))
+        if side in sides:
+            raise ValueError(f"pair literal names {side} twice")
+        sides[side] = parse_sparse(index, body)
+    return validate_pair(index, VWPair(sides.get("v", {}), sides.get("w", {})))
 
 
 def _vector_json(vec: dict) -> list:

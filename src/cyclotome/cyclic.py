@@ -23,15 +23,10 @@ class IndexInvariantError(RuntimeError):
 
 
 class CycIndex(Tables):
-    def __init__(self, quiver: DynkinQuiver, xi: dict[int, int] | None = None):
+    def __init__(self, quiver: DynkinQuiver):
         super().__init__()
         self.quiver = quiver
-        self.xi = dict(xi) if xi is not None else height_function(quiver)
-        if (set(self.xi) != set(quiver.vertices)
-                or not all(isinstance(x, int) for x in self.xi.values())
-                or any(self.xi[s] != self.xi[t] + 1 for s, t in quiver.arrows)):
-            raise ValueError(f"xi {self.xi} is not a height function of {quiver}: it must give "
-                             "exactly the vertices int values, with xi(s) = xi(t) + 1 on s->t")
+        self.xi = height_function(quiver)
         self.ar: ARQuiver = knit(quiver)
         self.h = quiver.coxeter_number
         self.two_h = 2 * self.h
@@ -163,8 +158,8 @@ class CycIndex(Tables):
         return base if obj.shift == 0 else f"Sigma{base}"
 
 
-def build_index(quiver: DynkinQuiver, xi: dict[int, int] | None = None) -> CycIndex:
-    return CycIndex(quiver, xi)
+def build_index(quiver: DynkinQuiver) -> CycIndex:
+    return CycIndex(quiver)
 
 
 def rep_space_dot(index: CycIndex) -> str:

@@ -168,7 +168,7 @@ class ARQuiver(Tables):
                     return f"{prefix}{i}"
         return "M(" + ",".join(map(str, self.root_of[slot])) + ")"
 
-    # -- functors --
+    # -- functors (no tau^{-1}: the lifts read hom(N, x), not hom(tau^{-1} x, N)) --
 
     def sigma_shift(self, obj: DerivedObject, k: int = 1) -> DerivedObject:
         return DerivedObject(obj.slot, obj.shift + k)
@@ -179,15 +179,6 @@ class ARQuiver(Tables):
             return DerivedObject((i, d - 1), obj.shift)
         # tau P_i = Sigma^{-1} I_i
         return DerivedObject(self.injective[i], obj.shift - 1)
-
-    def tau_inv(self, obj: DerivedObject) -> DerivedObject:
-        slot = obj.slot
-        if self.is_injective(slot):
-            # tau^{-1} I_i = Sigma P_i
-            i = next(i for i, s in self.injective.items() if s == slot)
-            return DerivedObject(self.projective[i], obj.shift + 1)
-        i, d = slot
-        return DerivedObject((i, d + 1), obj.shift)
 
     # -- Hom dimensions --
 

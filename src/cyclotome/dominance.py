@@ -49,8 +49,8 @@ class LiftInvariantError(RuntimeError):
 class VWPair:
     """A pair of finitely supported nonnegative vectors (v, w).
 
-    What the forms derive from a pair, its residual and Phi(w), is kept on
-    the index under ("residual", pair) and ("phi", pair), not on the pair.
+    forms keeps what it derives from a pair, its residual and Phi(w), on the
+    index, not on the pair.
     """
 
     __slots__ = ("v", "w", "_key")
@@ -144,7 +144,12 @@ def w_f(index: CycIndex, i: int) -> dict[Vertex, int]:
 def v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
     """v^f_i: Hom dimensions from S_i into every section object (a fresh copy
     of the vector stored on the index)."""
-    return dict(index.stored(("v_f", i), _build_v_f, index, i))
+    return dict(_stored_v_f(index, i))
+
+
+def _stored_v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
+    """v^f_i as the index keeps it, under ("v_f", i); never to be mutated."""
+    return index.stored(("v_f", i), _build_v_f, index, i)
 
 
 def _build_v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
@@ -239,31 +244,33 @@ def decompose(index: CycIndex, pair: VWPair) -> tuple[VWPair, VWPair, VWPair]:
 def iota(index: CycIndex, slot: Slot) -> VWPair:
     """The l-dominant lift of an indecomposable module N: w - C_q v = e_{sigma N}.
 
-    Computed once per module slot; every call returns the pair stored on the
-    index.
+    Built once per module slot from the stored v^f_i; every call returns the
+    pair stored on the index.
     """
     return index.stored(("iota", slot), _build_iota, index, slot)
 
 
 def _build_iota(index: CycIndex, slot: Slot) -> VWPair:
+    """iota(N) for N of root sum_i c_i alpha_i: iota_W = sum_i c_i e_{sigma S_i},
+    and at each module x, iota_V[x] = sum_i c_i v^f_i[x] - hom(N, x).
+
+    This is sum_i c_i hom(tau^-1 x, S_i) - hom(tau^-1 x, N).  At a non-injective
+    x, hom(tau^-1 x, M) = ext^1(M, x) (the AR formula), and <N, x> =
+    sum_i c_i <S_i, x> turns the ext^1 difference into the hom one.  At an
+    injective x = I_j both are 0, as tau^-1 I_j = Sigma P_j and c_j - dim N_j = 0."""
     ar = index.ar
-    # (multiplicity, S_i) over the support of the root of N
-    support = [
-        (c, DerivedObject(ar.simple[i], 0))
-        for i, c in enumerate(ar.root_of[slot], 1)
-        if c
-    ]
-    iw = {index.sigma(index.vertex_of_slot[s.slot]): c for c, s in support}
-    iv: dict[Vertex, int] = {}
+    support = [(c, i) for i, c in enumerate(ar.root_of[slot], 1) if c]
+    cartan = [(c, _stored_v_f(index, i)) for c, i in support]
     n_obj = DerivedObject(slot, 0)
+    iv: dict[Vertex, int] = {}
     for x in ar.modules:
-        tx = ar.tau_inv(DerivedObject(x, 0))
-        val = sum(c * ar.hom_dim(tx, s) for c, s in support) - ar.hom_dim(tx, n_obj)
+        vx = index.vertex_of_slot[x]
+        val = sum(c * vf.get(vx, 0) for c, vf in cartan) - ar.hom_dim(n_obj, DerivedObject(x, 0))
         if val < 0:
             raise LiftInvariantError(f"iota_V of {slot} went negative at {x}")
         if val:
-            iv[index.vertex_of_slot[x]] = val
-    return VWPair(iv, iw)
+            iv[vx] = val
+    return VWPair(iv, {sigma_simples(index, i)[0]: c for c, i in support})
 
 
 def iota_additive(index: CycIndex, multiset) -> VWPair:

@@ -95,10 +95,15 @@ def _pair_phi(index: CycIndex, pair: VWPair) -> GradedClass:
     return index.stored(("phi", pair), phi, index, pair.w)
 
 
+def pair_residual(index: CycIndex, pair: VWPair) -> dict[Vertex, int]:
+    """w - C_q v of a pair, computed once per pair and index and kept on the
+    index; the stored dict itself (dominance.residual returns a fresh one)."""
+    return index.stored(("residual", pair), residual, index, pair)
+
+
 def d_form(index: CycIndex, m1: VWPair, m2: VWPair) -> int:
-    """d(m1, m2) = (w1 - C_q v1) . sigma* v2 + v1 . sigma* w2; the residual of m1
-    is kept on the index, once per pair (dominance.residual returns a fresh one)."""
-    res = index.stored(("residual", m1), residual, index, m1)
+    """d(m1, m2) = (w1 - C_q v1) . sigma* v2 + v1 . sigma* w2."""
+    res = pair_residual(index, m1)
     total = 0
     for y, c in res.items():
         total += c * m2.v.get(index.sigma(y), 0)

@@ -18,7 +18,6 @@ from .dominance import (
     VWPair,
     enumerate_l_dominant,
     iota,
-    residual,
     sigma_simples,
     v_f,
     v_sigma_f,
@@ -30,6 +29,7 @@ from .forms import (
     hl_extension,
     leading_exponent,
     leading_exponent_tilde,
+    pair_residual,
     phi,
     script_n,
     twist_exponent,
@@ -502,7 +502,7 @@ def verify_same_n(index: CycIndex, mass_cap: int = 3) -> VerificationReport:
     heights = {m: sum(index.ar.root_of[m]) for m in index.ar.modules}
     lifts = [iota(index, m) for m, h in heights.items() if h <= mass_cap]
     # the residuals d_form keeps on the index; hl_extension only reads them
-    residuals = [index.stored(("residual", m), residual, index, m) for m in lifts]
+    residuals = [pair_residual(index, m) for m in lifts]
     failures = []
     for m1, res1 in zip(lifts, residuals):
         for m2, res2 in zip(lifts, residuals):

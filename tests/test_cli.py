@@ -345,6 +345,15 @@ class TestLiterals:
         idx = build_index(orient("A2", "linear"))
         assert parse_sparse(idx, "0") == {}
 
+    @pytest.mark.parametrize("first", ["v=S1=1;v=S2=1", "w=sigma(S1)=1;w=sigma(S2)=1"],
+                             ids=["v", "w"])
+    def test_pair_literal_naming_a_side_twice_exits_two(self, first, capsys):
+        # read side by side, the first value would silently be dropped
+        argv = ["forms", "--type", "A2", "--pair", first, "--pair", "v=;w="]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"names {first[0]} twice" in err and "Traceback" not in err
+
 
 # == 4. fuzzed literals ================================================================
 

@@ -8,10 +8,6 @@ Core claims:
       the identity and commutes with sigma
     - C_q follows the displayed rule, lands in I-hat, commutes with the shift
       pullback, and has a nonzero integer kernel
-    - an xi that is not a height function (a vertex missing or added, a
-      value that is not an int, or an arrow s->t with xi(s) != xi(t) + 1)
-      raises ValueError naming xi and the quiver; every shift of a height
-      function builds
 """
 
 import pytest
@@ -163,29 +159,3 @@ def test_kernel_is_nonzero(t):
         a, b = v_f(idx, i), v_sigma_f(idx, i)
         assert a != b
         assert idx.q_cartan_apply(a) == idx.q_cartan_apply(b) == w_f(idx, i)
-
-
-# == 5. the height function ============================================================
-
-@pytest.mark.parametrize("xi", [
-    {1: 0, 2: 1, 3: 4},
-    {1: 0, 2: 3, 3: 2},
-    {1: 0, 2: 1},
-    {1: 0, 2: 0, 3: 0},
-    {1: 0, 2: 1, 3: 2, 4: 3},
-    {1: 0.5, 2: 1.5, 3: 2.5},
-], ids=["gap-of-three", "rising-arrow", "vertex-missing", "constant", "vertex-added",
-        "half-integers"])
-def test_rejects_an_xi_that_is_not_a_height_function(xi):
-    q = orient("A3", "linear")  # arrows 2->1 and 3->2
-    with pytest.raises(ValueError, match="is not a height function") as err:
-        build_index(q, xi)
-    assert str(xi) in str(err.value) and str(q) in str(err.value)
-
-
-@pytest.mark.parametrize("t", ["A3", "D4", "E6"])
-@pytest.mark.parametrize("shift", [-3, 1, 2])
-def test_every_shift_of_a_height_function_builds(t, shift):
-    q = orient(t, "alternating")
-    xi = {i: x + shift for i, x in build_index(q).xi.items()}
-    assert build_index(q, xi).xi == xi

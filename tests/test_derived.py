@@ -3,8 +3,8 @@
 Core claims:
     - the window has nh slots, half carrying positive classes (one per
       positive root, cross-checked against a reflection-closure oracle)
-    - tau / tau_inv / shift compose as they should, and the Serre functor
-      tau o shift takes P_i to I_i; tau^h = shift^-2
+    - tau commutes with the shift, the Serre functor tau o shift takes P_i
+      to I_i, and tau^h = shift^-2
     - mesh middle terms satisfy class additivity
     - the Euler form alone fixes every knitted class: <P_i, e_j> = delta_ij,
       and <tau^-1 x, y> = -<y, x> (Serre duality) along each row
@@ -135,19 +135,6 @@ class TestKnit:
 # == 2. functors ==================================================================
 
 class TestFunctors:
-    def test_a2_tau_inv_of_projective(self):
-        ar = knit(orient("A2", "linear"))
-        p1 = DerivedObject(ar.projective[1], 0)
-        assert ar.tau_inv(p1) == DerivedObject(ar.simple[2], 0)
-
-    def test_tau_tau_inv_identity(self):
-        ar = knit(orient("D4", "linear"))
-        for slot in ar.modules:
-            for shift in (-1, 0, 2):
-                x = DerivedObject(slot, shift)
-                assert ar.tau(ar.tau_inv(x)) == x
-                assert ar.tau_inv(ar.tau(x)) == x
-
     def test_tau_commutes_with_shift(self):
         ar = knit(orient("A3", "alternating"))
         for slot in ar.modules:

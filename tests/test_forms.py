@@ -31,6 +31,7 @@ from cyclotome import (
     iota,
     leading_exponent,
     leading_exponent_tilde,
+    make_dynkin_quiver,
     n_phi,
     script_n,
     orient,
@@ -219,9 +220,9 @@ def fresh(pair):
 
 class TestPairTerms:
     def test_a_pair_read_with_another_index_recomputes(self):
-        a = build_index(orient("A3", "linear"))
-        # every xi(i) raised by 2: the same I-hat, but another section
-        b = build_index(a.quiver, {i: x + 2 for i, x in a.xi.items()})
+        a = build_index(orient("A3", "linear"))  # arrows 2->1 and 3->2
+        # the arrows reversed: the same I-hat, but another section
+        b = build_index(make_dynkin_quiver(3, [(1, 2), (2, 3)]))
         assert a.i_hat == b.i_hat and a.section != b.section
         e, kp = e_pair(a, 2), k_prime_pair(a, 1)
         assert leading_exponent(a, e, kp) == HalfInt(-1)

@@ -13,6 +13,8 @@ Core claims:
       with its quiver
     - only the Tables base in quiver.py names a `tables` attribute, so every
       memo goes through Tables.stored
+    - only forms.py spells the keys of the per-pair tables, ("residual", pair)
+      and ("phi", pair): every other module reads them through forms
     - importing the command line loads neither dataclasses, typing nor inspect,
       whose import costs more than the rest of the package, nor argparse,
       json, fractions, decimal, re, enum, collections, functools, shutil or
@@ -166,6 +168,42 @@ def test_tables_detector(source, lines):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_tables_base_names_tables(path):
     assert tables_outside_base(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+PAIR_TABLES = {"residual", "phi"}
+
+
+def pair_table_keys(tree) -> list[int]:
+    """Lines that spell a per-pair table key: a tuple headed by "residual" or
+    "phi", or either string passed to stored() as the key itself."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and node.elts:
+            head = node.elts[0]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "stored" and node.args):
+            head = node.args[0]
+        else:
+            continue
+        if isinstance(head, ast.Constant) and head.value in PAIR_TABLES:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("x = index.stored(('residual', m), residual, index, m)", [1]),
+    ("key = ('phi', pair)", [1]),
+    ("x = index.stored('phi', build)", [1]),
+    ("x = index.stored(('v_f', i), build)\ny = phi(index, w)\nz = 'residual'", []),
+])
+def test_pair_table_key_detector(source, lines):
+    assert pair_table_keys(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_forms_spells_the_pair_table_keys(path):
+    lines = pair_table_keys(ast.parse(path.read_text(encoding="utf-8")))
+    assert bool(lines) == (path.name == "forms.py"), lines
 
 
 def test_cli_imports_no_single_verifier():

@@ -9,6 +9,8 @@ Core claims:
     - knitting, index invariants, and the Cartan-vector identity survive on
       E7/E8 (large h) and on randomly sampled orientations of D5/D6/E6,
       drawn from a seed that is the same in every process
+    - on both built-in orientations of E7 and E8, every module N lifts to a
+      pair with residual e_{sigma N} and v in V+
 """
 
 import random
@@ -18,8 +20,8 @@ import pytest
 from cyclotome import (
     all_orientations,
     build_index,
+    cones,
     iota,
-    is_l_dominant,
     make_dynkin_quiver,
     orient,
     residual,
@@ -67,19 +69,21 @@ def test_verify_all_every_orientation(t, checks):
 
 @pytest.mark.parametrize("t,h", [("E7", 18), ("E8", 30)])
 def test_large_types_smoke(t, h):
-    idx = build_index(orient(t, "linear"))
-    n = idx.quiver.n
-    assert idx.h == h
-    assert len(idx.sigma_i_hat) == n * h
-    assert len(idx.ar.modules) == n * h // 2
-    for i in (1, n):
-        wf = w_f(idx, i)
-        assert idx.q_cartan_apply(v_f(idx, i)) == wf
-        assert idx.q_cartan_apply(v_sigma_f(idx, i)) == wf
-    slot = idx.ar.modules[len(idx.ar.modules) // 2]
-    pair = iota(idx, slot)
-    assert is_l_dominant(idx, pair)
-    assert residual(idx, pair) == {idx.sigma(idx.vertex_of_slot[slot]): 1}
+    for orientation in ("linear", "alternating"):
+        idx = build_index(orient(t, orientation))
+        n = idx.quiver.n
+        assert idx.h == h
+        assert len(idx.sigma_i_hat) == n * h
+        assert len(idx.ar.modules) == n * h // 2
+        for i in (1, n):
+            wf = w_f(idx, i)
+            assert idx.q_cartan_apply(v_f(idx, i)) == wf
+            assert idx.q_cartan_apply(v_sigma_f(idx, i)) == wf
+        v_plus = cones(idx).v_plus
+        for slot in idx.ar.modules:
+            pair = iota(idx, slot)
+            assert residual(idx, pair) == {idx.sigma(idx.vertex_of_slot[slot]): 1}, slot
+            assert set(pair.v) <= v_plus, slot
 
 
 def random_orientation(rng, t):
