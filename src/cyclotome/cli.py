@@ -34,6 +34,7 @@ from .forms import (
     script_n,
     twist_exponent,
 )
+from .laurent import FormalSum
 from .quiver import load_quiver, orient
 from .relations import RELATIONS, chevalley_generators, verify, verify_all
 from .serre import serre_quotient_dims
@@ -90,8 +91,11 @@ def parse_sparse(index: CycIndex, literal: str) -> dict:
         mult = int(mult) if mult else 1
         key = key.strip()
         if ":" in key:
-            i, a = key.split(":")
-            vertex = (int(i), int(a) % index.two_h)
+            try:
+                i, a = map(int, key.split(":"))
+            except ValueError:  # a part that is no integer, or not two parts
+                raise ValueError(f"numeric token {key!r} is not of the form i:a=m") from None
+            vertex = (i, a % index.two_h)
         else:
             vertex = _parse_token_name(index, key)
         out[vertex] = out.get(vertex, 0) + mult
@@ -116,9 +120,37 @@ def _vector_json(vec: dict) -> list:
     return [[i, a, c] for (i, a), c in sorted(vec.items())]
 
 
-def _print_json(payload: dict) -> None:
-    import json  # only JSON output pays for the import
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def print_json(payload) -> None:
+    """Print the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``
+    without importing json, which loads re and enum.  Strings go through the
+    C quoting that json.dumps itself uses; a payload holds only str, int,
+    True, False, None, lists, tuples and str-keyed dicts, and anything else
+    raises TypeError before a byte is printed."""
+    from _json import encode_basestring_ascii as quote  # only JSON output pays for it
+
+    def text(obj, indent: str) -> str:
+        if isinstance(obj, str):
+            return quote(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        inner = indent + "  "
+        if isinstance(obj, (list, tuple)):
+            items = [text(item, inner) for item in obj]
+            return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+        if not isinstance(obj, dict):
+            raise TypeError(f"a {type(obj).__name__} has no JSON form here")
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{quote(key)}: {text(value, inner)}" for key, value in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+
+    print(text(payload, "\n"))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -128,7 +160,7 @@ def cmd_describe(args) -> int:
     q = index.quiver
     gens = chevalley_generators(index)
     if args.json:
-        _print_json({
+        print_json({
             "schema": SCHEMA_VERSION,
             "type": q.dynkin_type,
             "orientation": q.orientation_label(),
@@ -187,7 +219,7 @@ def cmd_enumerate(args) -> int:
     w = parse_sparse(index, args.w)
     solutions = enumerate_l_dominant(index, w, verify=args.verify)
     if args.json:
-        _print_json({
+        print_json({
             "schema": SCHEMA_VERSION,
             "w": _vector_json(w),
             "count": len(solutions),
@@ -206,7 +238,7 @@ def cmd_lift(args) -> int:
     wtilde = parse_sparse(index, args.wtilde)
     pair = solve_w_tilde(index, wtilde)
     if args.json:
-        _print_json({
+        print_json({
             "schema": SCHEMA_VERSION,
             "wtilde": _vector_json(wtilde),
             "v": _vector_json(pair.v),
@@ -233,7 +265,7 @@ def cmd_forms(args) -> int:
         "deg_phi(w2)": deg_phi(index, m2.w),
     }
     if args.json:
-        _print_json({"schema": SCHEMA_VERSION, **{k: repr(v) for k, v in values.items()}})
+        print_json({"schema": SCHEMA_VERSION, **{k: repr(v) for k, v in values.items()}})
         return 0
     for name, value in values.items():
         print(f"{name} = {value}")
@@ -251,7 +283,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{args.relation} has no cases on {index.quiver.dynkin_type}")
     all_pass = all(r.passed for r in reports)
     if args.json:
-        _print_json({
+        print_json({
             "schema": SCHEMA_VERSION,
             "type": index.quiver.dynkin_type,
             "orientation": index.quiver.orientation_label(),
@@ -272,9 +304,22 @@ def cmd_verify(args) -> int:
             if not r.passed:
                 for c in r.checks:
                     if not c.passed:
-                        print(f"      {c.name}: computed {c.computed!r} != {c.expected!r}")
+                        print(f"      {c.name}: {_first_failure(c.computed, c.expected)}")
         print(f"overall: {'pass' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
+
+
+def _first_failure(computed, expected) -> str:
+    """What a failing check shows in text: the count and first entry of a list
+    of failing cases, the first differing term of a FormalSum, else both."""
+    if expected == [] and isinstance(computed, list):
+        return f"{len(computed)} failing cases, first {computed[0]!r}"
+    if isinstance(computed, FormalSum) and isinstance(expected, FormalSum):
+        ours, theirs = computed.terms, expected.terms
+        label = min((k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k)),
+                    key=repr)
+        return f"at [{label}] computed {ours.get(label, 0)!r} != {theirs.get(label, 0)!r}"
+    return f"computed {computed!r} != {expected!r}"
 
 
 def cmd_serre_dims(args) -> int:
@@ -283,7 +328,7 @@ def cmd_serre_dims(args) -> int:
     rows = [(beta, d, kostant_partitions(index, beta)) for beta, d in sorted(dims.items())]
     all_ok = all(d == k for _, d, k in rows)
     if args.json:
-        _print_json({
+        print_json({
             "schema": SCHEMA_VERSION,
             "maxdeg": args.maxdeg,
             "rows": [{"degree": list(beta), "dim": d, "kostant": k, "pass": d == k}

@@ -4,12 +4,18 @@ Core claims:
     - describe/enumerate/lift/forms/verify/serre-dims run and exit 0 on good input
     - JSON output carries the schema version and passes
     - identical invocations produce byte-identical output
+    - the JSON writer gives the bytes of json.dumps(obj, indent=2,
+      sort_keys=True) on seeded nested payloads, escapes included, and
+      refuses a float, a set or a non-str key with TypeError
     - the documented literal grammar (numeric and named tokens) round-trips
-    - malformed input exits 2 with a message, never a traceback (seeded fuzz)
+    - malformed input exits 2 with a message, never a traceback (seeded fuzz);
+      a malformed numeric token is named in it
     - a verify that would run no case exits 2 instead of passing vacuously
     - a --mass-cap above the same-n bound exits 2 at once with one error line
     - a verify with a failing check exits 1 and shows the check in text, JSON
-      and Markdown; ar-quiver without --dot prints one line per window slot
+      and Markdown; in text a list of failing cases shows its count and first
+      case, and a FormalSum its first differing term; ar-quiver without --dot
+      prints one line per window slot
     - a reader that closes the output pipe early gets exit 1 and nothing on stderr
     - -h/--help, at the top and after a command, prints to stdout and exits 0;
       a command's help names every one of its options
@@ -33,8 +39,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclotome.cli import main, parse_pair, parse_sparse
-from cyclotome import build_index, orient, iota, relations
+from cyclotome.cli import main, parse_pair, parse_sparse, print_json
+from cyclotome import FormalSum, HalfLaurent, build_index, orient, iota, relations
 
 
 def run(capsys, *argv):
@@ -154,20 +160,37 @@ class TestSubcommands:
     def test_verify_reports_a_failing_check(self, monkeypatch, capsys):
         honest = relations.verify_ef
 
+        failing_cases = [((1, 0), (2, 1), 3, 4), ((2, 1), (1, 0), 5, 6)]
+        one, t = HalfLaurent.from_int(1), HalfLaurent.t_pow(1)
+
         def planted(index, i, j):
             rep = honest(index, i, j)
             rep.add("planted check", 1, 2)
+            rep.add("planted cases", failing_cases, [])
+            # the labels "a" < "b" < "c" in repr order; "a" agrees, "b" differs
+            rep.add("planted sum", FormalSum({"c": t, "b": one, "a": one}),
+                    FormalSum({"a": one, "c": one}))
             return rep
 
         # relations.verify builds its dispatch per call, so it runs the plant
         monkeypatch.setattr(relations, "verify_ef", planted)
         code, out = run(capsys, "verify", "ef", "--type", "A2")
         assert code == 1
-        assert "      planted check: computed 1 != 2" in out.splitlines()
+        lines = out.splitlines()
+        assert "      planted check: computed 1 != 2" in lines
+        # a list of failing cases shows its count and its first case only
+        assert "      planted cases: 2 failing cases, first ((1, 0), (2, 1), 3, 4)" in lines
+        # a FormalSum shows its first differing term, with both coefficients
+        assert "      planted sum: at [b] computed 1 != 0" in lines
         assert out.endswith("overall: FAIL\n")
         code, out = run(capsys, "verify", "ef", "--type", "A2", "--json")
         assert code == 1
-        assert json.loads(out)["pass"] is False
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        # JSON keeps each value whole
+        checks = {c["name"]: c for r in payload["reports"] for c in r["checks"]}
+        assert checks["planted cases"]["computed"] == repr(failing_cases)
+        assert checks["planted sum"]["expected"] == repr(FormalSum({"a": one, "c": one}))
         code, out = run(capsys, "verify", "ef", "--type", "A2", "--markdown")
         assert code == 1
         assert "| NO |" in out and out.endswith("overall: FAIL\n")
@@ -213,6 +236,13 @@ class TestSubcommands:
     def test_bad_literal_exits_two(self, capsys):
         assert main(["enumerate", "--type", "A2", "--w", "Q9=1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1:2:3", "1:x", "x:1", "1:", ":"])
+    def test_bad_numeric_token_is_named(self, token, capsys):
+        assert main(["lift", "--type", "A2", "--wtilde", f"{token}=1"]) == 2
+        assert capsys.readouterr().err == (
+            f"cyclotome: error: numeric token {token!r} is not of the form i:a=m\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -325,6 +355,49 @@ def test_byte_identical_output(capsys):
     _, first = run(capsys, "verify", "all", "--type", "A2", "--json")
     _, second = run(capsys, "verify", "all", "--type", "A2", "--json")
     assert first == second
+
+
+#: Strings that exercise every escape: a non-ASCII letter, an astral character
+#: (a surrogate pair), control characters, a quote and a backslash.
+AWKWARD = ["", "plain", "\u03a3", "\U0001d11e", "\x00\x1f\t\n\x7f", '"', "\\"]
+
+
+def random_payload(rng, depth=0):
+    """A nested payload of every kind the JSON writer takes."""
+    kind = rng.randrange(6 if depth < 4 else 3)
+    if kind == 0:
+        return "".join(rng.choice(AWKWARD) for _ in range(rng.randint(0, 3)))
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice([0, 1, -7, 2**64 + 1, -(3**45), 10**30])
+    items = [random_payload(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 4]))]
+    if kind == 3:
+        return {f"{rng.choice(AWKWARD)}{n}": item for n, item in enumerate(items)}
+    return items if kind == 4 else tuple(items)
+
+
+def test_json_writer_matches_json_dumps(capsys):
+    rng = random.Random(2013)
+    texts = []
+    for _ in range(400):
+        payload = random_payload(rng)
+        print_json(payload)
+        texts.append(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        assert capsys.readouterr().out == texts[-1], payload
+    # the payloads reached every escape, empty container, constant and big int
+    seen = "".join(texts)
+    for piece in ("\\u03a3", "\\ud834\\udd1e", "\\u0000", "\\t", '\\"', "\\\\",
+                  "{}", "[]", "true", "false", "null", str(2**64 + 1), str(-(3**45))):
+        assert piece in seen, piece
+
+
+@pytest.mark.parametrize("payload", [1.5, {1, 2}, {1: "a"}, {"a": [None, 0.5]}],
+                         ids=["float", "set", "int-key", "nested-float"])
+def test_json_writer_refuses_other_values(payload, capsys):
+    with pytest.raises(TypeError):
+        print_json(payload)
+    assert capsys.readouterr().out == ""
 
 
 # == 3. literals =======================================================================

@@ -18,9 +18,11 @@ Core claims:
     - importing the command line loads neither dataclasses, typing nor inspect,
       whose import costs more than the rest of the package, nor argparse,
       json, fractions, decimal, re, enum, collections, functools, shutil or
-      locale; importing the package loads no fractions
+      locale; nor does a command that prints JSON, whose writer imports only
+      the C string encoder _json; importing the package loads no fractions
     - the command line gives the same bytes under Python 3.10, 3.12 and 3.13
-      as under the interpreter running the tests, where those are installed
+      as under the interpreter running the tests, where those are installed,
+      JSON escapes of non-ASCII names included
     - the command line reaches the relation verifiers only through
       relations.verify and verify_all, so the dispatch lives in one place
     - the Hom oracle stays independent: reflections.py and serre.py do not
@@ -221,24 +223,35 @@ HEAVY_MODULES = (
 )
 
 
-def loaded_after_import(module: str, candidates) -> list[str]:
-    """The candidates that a fresh ``python -S`` has loaded after importing module."""
+def loaded_after(statements: str, candidates) -> list[str]:
+    """The candidates that a fresh ``python -S`` has loaded after running the
+    statements, which may print to stdout; the list comes back on stderr."""
     code = (
-        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
-        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+        f"import sys\nsys.path.insert(0, sys.argv[1])\n{statements}\n"
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules), file=sys.stderr)"
     )
     return subprocess.run(
         [sys.executable, "-S", "-c", code, str(ROOT / "src"), *candidates],
         capture_output=True, text=True, check=True,
-    ).stdout.split()
+    ).stderr.split()
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():
-    assert loaded_after_import("cyclotome.cli", HEAVY_MODULES) == []
+    assert loaded_after("import cyclotome.cli", HEAVY_MODULES) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ef", "--type", "A2", "--json"],
+    ["describe", "--type", "D4", "--json"],
+], ids=["verify-ef-json", "describe-d4-json"])
+def test_json_output_loads_no_heavy_stdlib_modules(argv):
+    # a command that fails exits the child nonzero, which check=True reports
+    run = f"from cyclotome.cli import main\nif main({argv!r}):\n    sys.exit(3)"
+    assert loaded_after(run, HEAVY_MODULES) == []
 
 
 def test_package_import_loads_no_fractions():
-    assert loaded_after_import("cyclotome", ["fractions"]) == []
+    assert loaded_after("import cyclotome", ["fractions"]) == []
 
 
 def interpreter(version: str):
@@ -255,7 +268,8 @@ def interpreter(version: str):
 @pytest.mark.parametrize("argv", [
     ["describe", "--type", "A3"],
     ["verify", "ef", "--type", "A2", "--json"],
-], ids=["describe", "verify-ef-json"])
+    ["describe", "--type", "D4", "--json"],
+], ids=["describe", "verify-ef-json", "describe-d4-json"])
 def test_cli_runs_alike_on_other_interpreters(version, argv):
     exe = interpreter(version)
     if exe is None:
