@@ -1,9 +1,9 @@
 """Every bilinear form and exponent in one place.
 
 d feeds the leading-term exponent of the untwisted product; the product twist
-subtracts half the antisymmetrized Euler pairing of the weight classes; the
-rescaling exponents N(Phi)/deg(Phi) convert between basis normalizations; and
-the comparison form script-N restricted to module lifts computes half the
+subtracts half the antisymmetrized Euler pairing of the weight classes; each
+weight class Phi(w) has a degree and N(Phi) = (Phi, Phi) - deg(Phi); and the
+comparison form script-N restricted to module lifts computes half the
 symmetrized Euler form, signed by the height order.
 """
 
@@ -42,7 +42,7 @@ print(f"  twisted leading exponent = {leading_exponent(idx, m_e, m_k)}")
 diff = leading_exponent(idx, m_e, m_k) - leading_exponent(idx, m_k, m_e)
 print(f"  commutation exponent (should be a_12 = -1): {diff}")
 
-print("\nweight classes and rescaling exponents:")
+print("\nweight classes, their degrees and N:")
 for name, w in (("e[sigma S1]", m_e.w), ("w^f_2", m_k.w)):
     g = phi(idx, w)
     print(

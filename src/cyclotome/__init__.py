@@ -66,8 +66,6 @@ from .forms import (
     leading_exponent_tilde,
     n_phi,
     phi,
-    rescale_exponent_kashiwara,
-    rescale_exponent_lusztig,
     script_n,
     twist_exponent,
     window_height,
@@ -110,9 +108,8 @@ __all__ = [
     "iota", "iota_additive", "is_l_dominant", "knit", "kostant_multisets",
     "kostant_partitions", "leading_exponent", "leading_exponent_tilde",
     "load_quiver", "make_dynkin_quiver", "n_phi", "orient", "phi",
-    "positive_roots", "quantum_int",
-    "rescale_exponent_kashiwara", "rescale_exponent_lusztig", "residual",
-    "script_n", "serre_quotient_dims", "solve_w_tilde",
+    "positive_roots", "quantum_int", "residual", "script_n",
+    "serre_quotient_dims", "solve_w_tilde",
     "solve_w_tilde_bruteforce", "some_orientations", "twist_exponent",
     "unit_vector", "v_f", "v_sigma_f", "validate_pair", "verify", "verify_all",
     "verify_ef", "verify_ek", "verify_kk", "verify_same_form", "verify_same_n",

@@ -87,8 +87,11 @@ def parse_sparse(index: CycIndex, literal: str) -> dict:
     if not literal or literal == "0":
         return out
     for piece in literal.split(","):
-        key, _, mult = piece.partition("=")
-        mult = int(mult) if mult else 1
+        key, eq, mult = piece.partition("=")
+        try:
+            mult = int(mult) if eq else 1
+        except ValueError:
+            raise ValueError(f"multiplicity in {piece.strip()!r} is not an integer") from None
         key = key.strip()
         if ":" in key:
             try:

@@ -12,7 +12,7 @@ down the shift involution on vertices and everything downstream.
 from __future__ import annotations
 
 from .derived import ARQuiver, DerivedObject, Slot, knit
-from .quiver import DynkinQuiver, Tables, height_function
+from .quiver import DynkinQuiver, Tables
 
 Vertex = tuple[int, int]  # (quiver vertex i, height residue a mod 2h)
 
@@ -26,8 +26,8 @@ class CycIndex(Tables):
     def __init__(self, quiver: DynkinQuiver):
         super().__init__()
         self.quiver = quiver
-        self.xi = height_function(quiver)
         self.ar: ARQuiver = knit(quiver)
+        self.xi = self.ar.xi
         self.h = quiver.coxeter_number
         self.two_h = 2 * self.h
 

@@ -74,9 +74,9 @@ class ARQuiver(Tables):
             for i in quiver.vertices for d in range(h)
         }
         # Sinks first: an arrow into (i, d) from the same d comes from a
-        # target of i, which sits one lower in height.
-        xi = height_function(quiver)
-        rows = sorted(quiver.vertices, key=xi.__getitem__)
+        # target of i, which sits one lower in height xi (kept for CycIndex).
+        self.xi: dict[int, int] = height_function(quiver)
+        rows = sorted(quiver.vertices, key=self.xi.__getitem__)
         knitted: dict[Slot, tuple[int, ...]] = {}
         for d in range(h):
             for i in rows:

@@ -1,5 +1,5 @@
 """Bilinear forms and exponents: d, the antisymmetrized/symmetrized Euler
-pairings on graded classes, the class map Phi, rescaling exponents, the
+pairings on graded classes, the class map Phi with its degree and N(Phi), the
 product twist, the comparison form, and the height order.
 
 All values are exact integers or half-integers.
@@ -76,16 +76,6 @@ def n_phi(index: CycIndex, w: dict[Vertex, int]) -> int:
     """N(Phi(w)) = (Phi w, Phi w) - deg Phi(w)."""
     g = phi(index, w)
     return euler_sym(index, g, g) - deg_phi(index, w)
-
-
-def rescale_exponent_kashiwara(index: CycIndex, w: dict[Vertex, int]) -> HalfInt:
-    """Exponent attached to the Kashiwara-normalized basis element of weight w."""
-    return HalfInt(n_phi(index, w))
-
-
-def rescale_exponent_lusztig(index: CycIndex, w: dict[Vertex, int]) -> HalfInt:
-    """Exponent for the Lusztig normalization; differs by deg Phi(w)."""
-    return HalfInt(n_phi(index, w)) - deg_phi(index, w)
 
 
 # -- the d form -----------------------------------------------------------------

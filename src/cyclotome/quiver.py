@@ -4,7 +4,8 @@ A quiver here is an orientation of a simply-laced Dynkin diagram (types A, D,
 E).  Vertices are labelled 1..n, arrows are (source, target) pairs.  All later
 root-of-unity combinatorics only needs the Euler form, the Cartan matrix and
 an integer height function, so everything in this module is exact integer
-arithmetic on plain tuples and dicts.
+arithmetic on plain tuples and dicts.  One walk of the tree gives the heights,
+and the same walk checks that the tree is connected.
 """
 
 from __future__ import annotations
@@ -188,17 +189,10 @@ def make_dynkin_quiver(n: int, arrows: list[tuple[int, int]]) -> DynkinQuiver:
         raise NotSimplyLacedError("parallel edges")
     if len(arrows) != n - 1:
         raise NotATreeError(f"{len(arrows)} arrows on {n} vertices is not a tree")
-    # Connectivity: n-1 distinct edges + connected <=> tree (hence acyclic).
-    seen = {1}
-    frontier = [1]
+    # n-1 distinct edges + connected <=> tree (hence acyclic); connected
+    # <=> the height walk from vertex 1 reaches every vertex.
     adj = _neighbour_table(n, arrows)
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    if len(seen) != n:
+    if len(_heights(adj, arrows)) != n:
         raise NotATreeError("underlying graph is disconnected (so it has a cycle)")
     dynkin_type = _classify_tree(n, adj)
     return DynkinQuiver(n, tuple(arrows), dynkin_type, _coxeter_number(dynkin_type))
@@ -326,15 +320,20 @@ def unit_vector(q: DynkinQuiver, i: int) -> tuple[int, ...]:
 
 
 def height_function(q: DynkinQuiver) -> dict[int, int]:
-    """The canonical integer height lift: xi(1) = 0, xi(s) = xi(t) + 1 per arrow s->t."""
-    arrows = set(q.arrows)
+    """The canonical integer height lift: xi(1) = 0, xi(s) = xi(t) + 1 per arrow s->t.
+    Sorted by xi, the vertices come sinks first: each arrow's target precedes its source."""
+    return _heights(q.neighbours, q.arrows)
+
+
+def _heights(adj: dict[int, tuple[int, ...]], arrows) -> dict[int, int]:
+    """xi on the vertices that the walk from 1 reaches: all of them iff connected."""
+    arrows = set(arrows)
     xi = {1: 0}
     frontier = [1]
     while frontier:
         x = frontier.pop()
-        for y in q.neighbours[x]:
+        for y in adj[x]:
             if y not in xi:
                 xi[y] = xi[x] - 1 if (x, y) in arrows else xi[x] + 1
                 frontier.append(y)
     return xi
-

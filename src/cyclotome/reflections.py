@@ -1,44 +1,25 @@
 """Explicit matrix representations and a brute-force Hom oracle.
 
-Indecomposable representations are built from simples by unwinding reflection
-functors (Bernstein, Gelfand and Ponomarev) along an admissible (sinks-first)
-vertex ordering; each step replaces the space at a source by the cokernel of
-its out-map, read off one row reduction of that map's columns.  Hom dimensions
-are then the nullities of the intertwiner systems ``phi_t M_h = N_h phi_s``.
-This path never consults the Euler-form shortcut for Hom, so it serves as an
-independent check of the closed formula in derived.py (Ext^1 on the shift-one
-gap is recovered as hom - <,>, exact because the category is hereditary).
+Indecomposables are built from simples by unwinding reflection functors
+(Bernstein, Gelfand and Ponomarev) in the sinks-first order of
+quiver.height_function; equal heights are never adjacent, so their reflections
+commute.  Each step replaces the space at a source by the cokernel of its
+out-map, read off one row reduction of its columns.  Hom dimensions are the
+nullities of the intertwiner systems ``phi_t M_h = N_h phi_s``.  Sharing only
+the reflection order with derived.py, never its Euler-form Hom formula, this
+checks that formula independently (Ext^1 on the shift-one gap is hom - <,>,
+exact because the category is hereditary).
 """
 
 from __future__ import annotations
 
 from .derived import ARQuiver, DerivedObject
-from .quiver import DynkinQuiver, euler_form
+from .quiver import DynkinQuiver, euler_form, height_function
 
 
 class ReflectionWalkError(RuntimeError):
     """The reflection walk lost admissibility, did not terminate, or rebuilt
     the wrong quiver or dimension vector; signals an internal bug."""
-
-
-def _topological_sinks_first(n: int, arrows) -> list[int]:
-    out = {i: 0 for i in range(1, n + 1)}
-    preds = {i: [] for i in range(1, n + 1)}
-    for s, t in arrows:
-        out[s] += 1
-        preds[t].append(s)
-    order, ready = [], sorted(i for i in out if out[i] == 0)
-    while ready:
-        k = ready.pop(0)
-        order.append(k)
-        for s in preds[k]:
-            out[s] -= 1
-            if out[s] == 0:
-                ready.append(s)
-        ready.sort()
-    if len(order) != n:
-        raise ValueError("quiver has an oriented cycle")
-    return order
 
 
 def _reflect_arrows(arrows, k):
@@ -149,7 +130,7 @@ def _reflect_source_minus(rep: Rep, k: int) -> Rep:
 def indecomposable_rep(quiver: DynkinQuiver, root: tuple[int, ...]) -> Rep:
     """Explicit matrices for the indecomposable with the given positive root."""
     n = quiver.n
-    seq = _topological_sinks_first(n, quiver.arrows)
+    seq = sorted(quiver.vertices, key=height_function(quiver).__getitem__)
     arrows = tuple(quiver.arrows)
     beta = tuple(root)
     steps = []  # (vertex, arrows before the reflection)

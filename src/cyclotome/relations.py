@@ -103,7 +103,8 @@ def _report(index: CycIndex, relation: str, args) -> VerificationReport:
 
 
 # -- generator pairs ---------------------------------------------------------------
-# Each is built once per index and kept on it under (name, i).
+# E, F, K and K' are built once per index and kept on it under (name, i);
+# the central pair, read once per i, is built on each call.
 
 def e_pair(index: CycIndex, i: int) -> VWPair:
     return index.stored(("E", i), _w_unit_pair, index, i, 0)
@@ -122,7 +123,7 @@ def k_pair(index: CycIndex, i: int) -> VWPair:
 
 
 def central_pair(index: CycIndex, i: int) -> VWPair:
-    return index.stored(("central", i), _central_pair, index, i)
+    return VWPair(add(v_f(index, i), v_sigma_f(index, i)), scale(w_f(index, i), 2))
 
 
 def _w_unit_pair(index: CycIndex, i: int, k: int) -> VWPair:
@@ -132,10 +133,6 @@ def _w_unit_pair(index: CycIndex, i: int, k: int) -> VWPair:
 
 def _cartan_pair(index: CycIndex, i: int, v) -> VWPair:
     return VWPair(v(index, i), w_f(index, i))
-
-
-def _central_pair(index: CycIndex, i: int) -> VWPair:
-    return VWPair(add(v_f(index, i), v_sigma_f(index, i)), scale(w_f(index, i), 2))
 
 
 def chevalley_generators(index: CycIndex) -> dict[str, VWPair]:

@@ -9,7 +9,8 @@ Core claims:
       refuses a float, a set or a non-str key with TypeError
     - the documented literal grammar (numeric and named tokens) round-trips
     - malformed input exits 2 with a message, never a traceback (seeded fuzz);
-      a malformed numeric token is named in it
+      a malformed numeric token is named in it, and so is a piece whose
+      multiplicity after "=" is missing or not an integer
     - a verify that would run no case exits 2 instead of passing vacuously
     - a --mass-cap above the same-n bound exits 2 at once with one error line
     - a verify with a failing check exits 1 and shows the check in text, JSON
@@ -242,6 +243,13 @@ class TestSubcommands:
         assert main(["lift", "--type", "A2", "--wtilde", f"{token}=1"]) == 2
         assert capsys.readouterr().err == (
             f"cyclotome: error: numeric token {token!r} is not of the form i:a=m\n"
+        )
+
+    @pytest.mark.parametrize("piece", ["sigma(S1)=x", "1:0=2=3", "sigma(S1)="])
+    def test_bad_multiplicity_is_named(self, piece, capsys):
+        assert main(["lift", "--type", "A2", "--wtilde", piece]) == 2
+        assert capsys.readouterr().err == (
+            f"cyclotome: error: multiplicity in {piece!r} is not an integer\n"
         )
 
     @pytest.mark.parametrize(

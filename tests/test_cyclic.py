@@ -2,6 +2,8 @@
 
 Core claims:
     - |I-hat| = |sigma-I-hat| = nh, and they partition I x <epsilon>
+    - one build_index walks the tree for the heights once: the index reads
+      the xi its window was knitted by
     - the section inverts the covering; the covering sends P_i to
       (i, xi(i)+1) and commutes with tau
     - sigma swaps the halves, sigma^2 = tau, the shift involution squares to
@@ -12,7 +14,9 @@ Core claims:
 
 import pytest
 
-from cyclotome import build_index, orient, some_orientations, v_f, v_sigma_f, w_f
+from cyclotome import (
+    build_index, height_function, orient, quiver, some_orientations, v_f, v_sigma_f, w_f,
+)
 from cyclotome.derived import DerivedObject
 from cyclotome.reflections import matrix_rank
 
@@ -30,6 +34,21 @@ def test_cardinalities(t):
     assert len(idx.i_hat) == n * h
     assert idx.i_hat.isdisjoint(idx.sigma_i_hat)
     assert len(idx.i_hat | idx.sigma_i_hat) == 2 * n * h
+
+
+def test_build_index_walks_the_tree_once(monkeypatch):
+    q = orient("E8", "alternating")
+    calls = []
+
+    def counted(*args, _real=quiver._heights):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(quiver, "_heights", counted)
+    idx = build_index(q)
+    assert len(calls) == 1
+    assert idx.xi is idx.ar.xi
+    assert idx.xi == height_function(q)
 
 
 def test_a1_index_sets():

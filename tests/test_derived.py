@@ -9,7 +9,8 @@ Core claims:
     - the Euler form alone fixes every knitted class: <P_i, e_j> = delta_ij,
       and <tau^-1 x, y> = -<y, x> (Serre duality) along each row
     - the closed Hom formula agrees with the intertwiner oracle, on every
-      module pair of D5 and E6 in either order of the two gaps
+      module pair of every D5 orientation and of alternating E6, in either
+      order of the two gaps
     - the oracle builds one representation per root and one nullity per root
       pair, whichever gaps it is asked: D4 at both gaps takes 12 and 144
     - the oracle's representations have the root as dimension vector, map
@@ -262,16 +263,19 @@ class TestOracleOnModulePairs:
     def test_oracle_matches_closed_formula_on_every_module_pair(self, t, gap_one_first):
         # the oracle keeps one nullity per root pair for both gaps, so the
         # order in which its memo fills must not change an answer
-        ar = knit(orient(t, "alternating"))
-        triples = [(x, y, gap) for x in ar.modules for y in ar.modules for gap in (0, 1)]
-        if gap_one_first:
-            triples.sort(key=lambda xyg: -xyg[2])
+        quivers = list(all_orientations(t)) if t == "D5" else [orient(t, "alternating")]
         wrong = []
-        for x, y, gap in triples:
-            a, b = DerivedObject(x, 0), DerivedObject(y, gap)
-            if hom_dim_bruteforce(ar, a, b) != ar.hom_dim(a, b):
-                wrong.append((x, y, gap))
-        assert len(triples) == 2 * len(ar.modules) ** 2
+        for quiver in quivers:
+            ar = knit(quiver)
+            triples = [(x, y, gap) for x in ar.modules for y in ar.modules for gap in (0, 1)]
+            if gap_one_first:
+                triples.sort(key=lambda xyg: -xyg[2])
+            for x, y, gap in triples:
+                a, b = DerivedObject(x, 0), DerivedObject(y, gap)
+                if hom_dim_bruteforce(ar, a, b) != ar.hom_dim(a, b):
+                    wrong.append((str(quiver), x, y, gap))
+            assert len(triples) == 2 * len(ar.modules) ** 2
+        assert len(quivers) == (16 if t == "D5" else 1)
         assert wrong == []
 
     def test_oracle_builds_each_rep_and_nullity_once(self, monkeypatch):

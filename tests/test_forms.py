@@ -42,7 +42,7 @@ from cyclotome import (
     w_f,
     window_height,
 )
-from cyclotome.forms import GradedClass, rescale_exponent_kashiwara, rescale_exponent_lusztig
+from cyclotome.forms import GradedClass
 from cyclotome.relations import e_pair, f_pair, k_prime_pair
 
 
@@ -67,7 +67,7 @@ class TestHalfInt:
         assert HalfInt(1) < 1
 
 
-# == 2. Phi and the rescaling exponents ==============================================
+# == 2. Phi, its degree and N(Phi) ================================================
 
 class TestPhi:
     def test_simple_weight(self):
@@ -86,16 +86,6 @@ class TestPhi:
     def test_cartan_weight_splits(self):
         idx = a2()
         assert phi(idx, w_f(idx, 1)) == GradedClass((1, 0), (1, 0))
-
-    def test_rescaling_exponents_differ_by_degree(self):
-        idx = a2()
-        for w in (
-            {idx.sigma(idx.vertex_of_slot[idx.ar.simple[1]]): 2},
-            {idx.sigma(idx.vertex_of_slot[idx.ar.projective[2]]): 1},
-        ):
-            k = rescale_exponent_kashiwara(idx, w)
-            l = rescale_exponent_lusztig(idx, w)
-            assert k - l == deg_phi(idx, w)
 
 
 # == 3. the d form =====================================================================

@@ -388,8 +388,6 @@ def test_unreached_detector(source, names):
 
 #: Functions kept although nothing but the tests calls them, with the reason.
 KEEP = {
-    "rescale_exponent_kashiwara": "the abstract's 'up to rescaling', Kashiwara's normalization",
-    "rescale_exponent_lusztig": "the abstract's 'up to rescaling', Lusztig's normalization",
     "solve_w_tilde_bruteforce": "the oracle that solve_w_tilde is checked against",
     "sigma_shift": "the shift functor; the acceptance gate checks tau^h against it",
     "pi": "the covering map; the tests check the section and tau against it",

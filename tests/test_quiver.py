@@ -56,9 +56,11 @@ class TestLoadQuiver:
             make_dynkin_quiver(3, [(1, 2), (2, 3), (3, 1)])
 
     def test_disconnected_rejected(self):
-        # 3 distinct edges on 4 vertices with vertex 4 isolated
-        with pytest.raises(NotATreeError):
-            make_dynkin_quiver(4, [(1, 2), (2, 3), (3, 1)])
+        # 3 distinct edges on 4 vertices with vertex 4 isolated, then with
+        # vertex 1, where the height walk starts, isolated
+        for arrows in ([(1, 2), (2, 3), (3, 1)], [(2, 3), (3, 4), (4, 2)]):
+            with pytest.raises(NotATreeError, match="disconnected"):
+                make_dynkin_quiver(4, arrows)
 
     def test_parallel_edge_rejected(self):
         with pytest.raises(NotSimplyLacedError):
