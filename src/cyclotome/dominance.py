@@ -50,10 +50,11 @@ class VWPair:
     """A pair of finitely supported nonnegative vectors (v, w).
 
     forms keeps what it derives from a pair, its residual and Phi(w), on the
-    index, not on the pair.
+    index, not on the pair.  The hash of the key is taken on first use and
+    kept in a slot; copies and pickles rebuild from (v, w).
     """
 
-    __slots__ = ("v", "w", "_key")
+    __slots__ = ("v", "w", "_key", "_hash")
 
     def __init__(self, v: dict[Vertex, int], w: dict[Vertex, int]):
         self.v = canon(v)
@@ -61,6 +62,10 @@ class VWPair:
         if any(c < 0 for c in self.v.values()) or any(c < 0 for c in self.w.values()):
             raise ValueError("VWPair entries must be nonnegative")
         self._key = (tuple(self.v.items()), tuple(self.w.items()))
+        self._hash = None
+
+    def __reduce__(self):
+        return VWPair, (self.v, self.w)
 
     def __eq__(self, other):
         return isinstance(other, VWPair) and self._key == other._key
@@ -71,7 +76,9 @@ class VWPair:
         return self._key < other._key
 
     def __hash__(self):
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __add__(self, other: "VWPair") -> "VWPair":
         return VWPair(add(self.v, other.v), add(self.w, other.w))
@@ -107,9 +114,17 @@ class Cones(Frozen):
 
 
 def sigma_simples(index: CycIndex, i: int) -> tuple[Vertex, Vertex]:
-    """(sigma S_i, sigma Sigma S_i): the I-hat vertices of i in W^S and W^SigmaS."""
-    s = index.vertex_of_slot[index.ar.simple[i]]
-    return index.sigma(s), index.sigma(index.shift_vertex(s))
+    """(sigma S_i, sigma Sigma S_i): the I-hat vertices of i in W^S and W^SigmaS,
+    read from one table per index."""
+    return index.stored("sigma simples", _build_sigma_simples, index)[i]
+
+
+def _build_sigma_simples(index: CycIndex) -> dict[int, tuple[Vertex, Vertex]]:
+    out = {}
+    for i in index.quiver.vertices:
+        s = index.vertex_of_slot[index.ar.simple[i]]
+        out[i] = index.sigma(s), index.sigma(index.shift_vertex(s))
+    return out
 
 
 def cones(index: CycIndex) -> Cones:
@@ -362,8 +377,10 @@ def _count(roots, memo, remaining, start):
 
 # -- enumeration --------------------------------------------------------------------
 
-def _dense_order(index: CycIndex) -> tuple[tuple[Vertex, ...], dict[Vertex, int], int]:
-    """(order, position of each vertex, |V+|): sigma-I-hat in one fixed order.
+def _dense_order(index: CycIndex):
+    """(order, position of each vertex, |V+|, by_vertex): sigma-I-hat in one
+    fixed order, and the itemgetter that takes a tuple over it to sorted
+    vertex order.
 
     V+ sorted, then V- as the shift image of V+ in the same order, then the
     injective vertices sorted and their shift images, so the shift swaps the
@@ -379,18 +396,23 @@ def _build_dense_order(index: CycIndex):
     inj.sort()
     shift = index.shift_vertex
     order = tuple(plus + [shift(x) for x in plus] + inj + [shift(x) for x in inj])
-    return order, {x: k for k, x in enumerate(order)}, len(plus)
+    by_vertex = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+    return order, {x: k for k, x in enumerate(order)}, len(plus), by_vertex
 
 
-def _dense_cartan(index: CycIndex, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(v^f_i, v^Sigma f_i) as tuples over the dense order, kept on the index."""
-    return index.stored(("dense v_f", i), _build_dense_cartan, index, i)
+def _cartan_terms(index: CycIndex, i: int, c: int) -> tuple[tuple[int, ...], ...]:
+    """b v^f_i + (c - b) v^Sigma f_i for b = 0..c, each a tuple in sorted
+    vertex order; kept on the index under ("cartan terms", i, c)."""
+    return index.stored(("cartan terms", i, c), _build_cartan_terms, index, i, c)
 
 
-def _build_dense_cartan(index: CycIndex, i: int):
-    order = _dense_order(index)[0]
-    vecs = v_f(index, i), v_sigma_f(index, i)
-    return tuple(tuple(vec.get(x, 0) for x in order) for vec in vecs)
+def _build_cartan_terms(index: CycIndex, i: int, c: int):
+    if c == 1:  # (v^Sigma f_i, v^f_i): the one place they are made dense
+        verts = sorted(index.sigma_i_hat)
+        vecs = v_sigma_f(index, i), v_f(index, i)
+        return tuple(tuple(vec.get(x, 0) for x in verts) for vec in vecs)
+    vsf, vf = _cartan_terms(index, i, 1)
+    return tuple(tuple(b * x + (c - b) * y for x, y in zip(vf, vsf)) for b in range(c + 1))
 
 
 def _lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
@@ -399,7 +421,7 @@ def _lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
 
 
 def _build_lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
-    _, pos, p = _dense_order(index)
+    _, pos, p, _ = _dense_order(index)
     row = [0] * p
     for x, c in iota(index, slot).v.items():
         if pos[x] >= p:
@@ -470,13 +492,12 @@ def enumerate_l_dominant(
         s, ss = sigma_simples(index, i)
         m[i], mp[i] = w.get(s, 0), w.get(ss, 0)
 
-    order, _, p = _dense_order(index)
+    order, _, p, by_vertex = _dense_order(index)
     tail = (0,) * (len(order) - 2 * p)
     # Each solution is kept as the flat (rank, value) pairs of its nonzero
     # coordinates, ranked in sorted vertex order; these sort as the sparse
     # item tuples do.
-    ranked = sorted(range(len(order)), key=order.__getitem__)
-    by_vertex, ranks = operator.itemgetter(*ranked), range(len(order))
+    ranks = range(len(order))
 
     def flat(s):
         return tuple(chain.from_iterable(compress(zip(ranks, s), s)))
@@ -489,10 +510,7 @@ def enumerate_l_dominant(
         cartan_vs = None  # None: only the zero vector
         for i, ci in zip(verts, c):
             if ci:
-                vf, vsf = map(by_vertex, _dense_cartan(index, i))
-                terms = [
-                    tuple(b * x + (ci - b) * y for x, y in zip(vf, vsf)) for b in range(ci + 1)
-                ]
+                terms = _cartan_terms(index, i, ci)
                 cartan_vs = terms if cartan_vs is None else [
                     tuple(map(operator.add, v0, t)) for v0 in cartan_vs for t in terms
                 ]
@@ -507,7 +525,7 @@ def enumerate_l_dominant(
         raise EnumerationMismatchError(
             f"triangular enumeration produced {len(results)} != {expected} pairs"
         )
-    vertex_at = [order[k] for k in ranked].__getitem__
+    vertex_at = by_vertex(order).__getitem__
     out = [dict(zip(map(vertex_at, f[0::2]), f[1::2])) for f in sorted(results)]
     if verify:
         brute = enumerate_l_dominant_bruteforce(index, w)

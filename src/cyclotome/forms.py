@@ -56,20 +56,18 @@ def deg_phi(index: CycIndex, w: dict[Vertex, int]) -> int:
     return sum(g.module_part) + sum(g.shifted_part)
 
 
-def _part_pairing(index: CycIndex, x: GradedClass, y: GradedClass, sign: int) -> int:
-    """<x,y> + sign <y,x>, taken part by part."""
-    q = index.quiver
-    return sum(euler_form(q, a, b) + sign * euler_form(q, b, a) for a, b in zip(x, y))
-
-
 def euler_a(index: CycIndex, x: GradedClass, y: GradedClass) -> int:
-    """<x,y>_a: the antisymmetrized Euler pairing, part by part."""
-    return _part_pairing(index, x, y, -1)
+    """<x,y>_a = <x,y> - <y,x>, part by part.  The diagonal terms cancel, so
+    it is the sum over the parts and the arrows s->t of y_s x_t - x_s y_t."""
+    arrows = index.quiver.arrows
+    return sum(b[s - 1] * a[t - 1] - a[s - 1] * b[t - 1]
+               for a, b in zip(x, y) for s, t in arrows)
 
 
 def euler_sym(index: CycIndex, x: GradedClass, y: GradedClass) -> int:
-    """(x,y): the symmetrized Euler pairing, part by part."""
-    return _part_pairing(index, x, y, 1)
+    """(x,y) = <x,y> + <y,x>: the symmetrized Euler pairing, part by part."""
+    q = index.quiver
+    return sum(euler_form(q, a, b) + euler_form(q, b, a) for a, b in zip(x, y))
 
 
 def n_phi(index: CycIndex, w: dict[Vertex, int]) -> int:
@@ -93,12 +91,13 @@ def pair_residual(index: CycIndex, pair: VWPair) -> dict[Vertex, int]:
 
 def d_form(index: CycIndex, m1: VWPair, m2: VWPair) -> int:
     """d(m1, m2) = (w1 - C_q v1) . sigma* v2 + v1 . sigma* w2."""
-    res = pair_residual(index, m1)
+    # sigma(i, a) = (i, a - 1) and sigma^-1(i, a) = (i, a + 1), read inline
+    two_h, v1, v2 = index.two_h, m1.v, m2.v
     total = 0
-    for y, c in res.items():
-        total += c * m2.v.get(index.sigma(y), 0)
-    for y, c in m2.w.items():
-        total += c * m1.v.get(index.sigma_inv(y), 0)
+    for (i, a), c in pair_residual(index, m1).items():
+        total += c * v2.get((i, (a - 1) % two_h), 0)
+    for (i, a), c in m2.w.items():
+        total += c * v1.get((i, (a + 1) % two_h), 0)
     return total
 
 

@@ -99,15 +99,19 @@ class DynkinQuiver(Frozen):
 
     ``neighbours[i]`` lists the vertices joined to i, in increasing order; it
     is derived from the arrows and takes no part in equality, hashing or repr.
+    make_dynkin_quiver passes the table it validated the arrows with; a copy
+    or pickle builds it again from the arrows.
     """
 
     _fields = ("n", "arrows", "dynkin_type", "coxeter_number")
     __slots__ = _fields + ("neighbours",)
 
     def __init__(self, n: int, arrows: tuple[tuple[int, int], ...], dynkin_type: str,
-                 coxeter_number: int):
+                 coxeter_number: int, neighbours: dict[int, tuple[int, ...]] | None = None):
         super().__init__(n, arrows, dynkin_type, coxeter_number)
-        object.__setattr__(self, "neighbours", _neighbour_table(n, arrows))
+        if neighbours is None:
+            neighbours = _neighbour_table(n, arrows)
+        object.__setattr__(self, "neighbours", neighbours)
 
     @property
     def vertices(self) -> range:
@@ -195,7 +199,7 @@ def make_dynkin_quiver(n: int, arrows: list[tuple[int, int]]) -> DynkinQuiver:
     if len(_heights(adj, arrows)) != n:
         raise NotATreeError("underlying graph is disconnected (so it has a cycle)")
     dynkin_type = _classify_tree(n, adj)
-    return DynkinQuiver(n, tuple(arrows), dynkin_type, _coxeter_number(dynkin_type))
+    return DynkinQuiver(n, tuple(arrows), dynkin_type, _coxeter_number(dynkin_type), adj)
 
 
 def load_quiver(text: str) -> DynkinQuiver:
@@ -259,13 +263,14 @@ def orient(dynkin_type: str, orientation: str = "linear") -> DynkinQuiver:
     """
     edges = standard_edges(dynkin_type)
     n = max(max(e) for e in edges) if edges else 1
-    if orientation not in ("linear", "alternating"):
+    if orientation == "linear":
+        return make_dynkin_quiver(n, [(max(u, v), min(u, v)) for u, v in edges])
+    if orientation != "alternating":
         raise QuiverError(f"unknown orientation {orientation!r}")
-    quiver = make_dynkin_quiver(n, [(max(u, v), min(u, v)) for u, v in edges])
-    if orientation == "alternating":
-        xi = height_function(quiver)
-        quiver = make_dynkin_quiver(n, [(u, v) if xi[u] % 2 else (v, u) for u, v in edges])
-    return quiver
+    # one walk of the edges read as arrows: each step changes the height by
+    # one, so its parity is the parity of the distance from vertex 1
+    xi = _heights(_neighbour_table(n, edges), edges)
+    return make_dynkin_quiver(n, [(u, v) if xi[u] % 2 else (v, u) for u, v in edges])
 
 
 def all_orientations(dynkin_type: str):

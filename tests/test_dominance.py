@@ -441,7 +441,7 @@ class TestEnumerate:
 def test_stored_lifts_are_the_kostant_lifts(t, top):
     idx = build_index(orient(t, "alternating"))
     ar = idx.ar
-    order, _, _ = dominance._dense_order(idx)
+    order = dominance._dense_order(idx)[0]
     for beta in product(range(top + 1), repeat=ar.quiver.n):
         stored = dominance._module_lift_vs(idx, beta)
         got = {tuple(sorted((order[k], c) for k, c in enumerate(v) if c)) for v in stored}

@@ -4,6 +4,8 @@ Core claims:
     - Phi routes weights to module / shifted classes; N(Phi) on simples is 1
     - d is Z-bilinear and shift-equivariant; the displayed special values hold
     - euler_a is antisymmetric, euler_sym symmetrizes to Cartan entries
+    - euler_a, summed over the arrows only, equals <x,y> - <y,x> from
+      euler_form on seeded signed classes over every D5 and E6 orientation
     - twist exponents reproduce the Cartan commutation corrections
     - script-N and the height-signed form agree on lifted modules
     - script-N equals the twisted leading exponent on every pair, l-dominant
@@ -22,10 +24,12 @@ from cyclotome import (
     HalfInt,
     NotIndecomposableError,
     VWPair,
+    all_orientations,
     build_index,
     d_form,
     deg_phi,
     euler_a,
+    euler_form,
     euler_sym,
     hl_form,
     iota,
@@ -163,6 +167,18 @@ class TestEulerPairings:
                 x = GradedClass(unit_vector(q, i), (0,) * q.n)
                 y = GradedClass(unit_vector(q, j), (0,) * q.n)
                 assert euler_sym(idx, x, y) == cartan_entry(q, i, j)
+
+    @pytest.mark.parametrize("t", ["D5", "E6"])
+    def test_euler_a_is_the_two_sided_difference(self, t):
+        """The arrows-only sum against <x,y> - <y,x> taken with euler_form."""
+        rng = random.Random(t)
+        for q in all_orientations(t):
+            idx = build_index(q)
+            for _ in range(8):
+                parts = [tuple(rng.randint(-3, 3) for _ in q.vertices) for _ in range(4)]
+                x, y = GradedClass(*parts[:2]), GradedClass(*parts[2:])
+                two_sided = sum(euler_form(q, a, b) - euler_form(q, b, a) for a, b in zip(x, y))
+                assert euler_a(idx, x, y) == two_sided, (q, x, y)
 
     def test_twist_self_is_zero(self):
         idx = a2()

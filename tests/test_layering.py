@@ -335,7 +335,7 @@ def test_hom_oracle_never_names_the_stored_pairing():
 
 LIFT_NAMES = {
     "iota", "iota_additive", "kostant_multisets", "_module_lift_vs", "v_f", "v_sigma_f",
-    "decompose", "_lift_row", "_dense_cartan", "_dense_order",
+    "decompose", "_lift_row", "_cartan_terms", "_dense_order",
 }
 
 

@@ -7,7 +7,9 @@ Core claims:
       powered here from the reflections alone
     - euler_form is Z-bilinear and cartan_entry symmetric
     - the neighbour table matches the arrows and leaves equality, hashing and
-      repr to the four declared fields
+      repr to the four declared fields; orient builds it once for a linear
+      quiver and at most twice for an alternating one (once for the parity
+      walk of the edges)
     - height functions obey the arrow rule on every arrow, any orientation, and
       keep their pinned values on the built-in orientations of A1-A8, D4-D8
       and E6-E8
@@ -32,6 +34,7 @@ from cyclotome import (
     orient,
     unit_vector,
 )
+from cyclotome import quiver
 from cyclotome.quiver import QuiverError
 
 
@@ -189,6 +192,15 @@ class TestNeighbourTable:
             f"dynkin_type='E6', coxeter_number=12)"
         )
         assert hash(a) == hash((a.n, a.arrows, a.dynkin_type, a.coxeter_number))
+
+    @pytest.mark.parametrize("orientation,most", [("linear", 1), ("alternating", 2)])
+    def test_orient_builds_few_tables(self, monkeypatch, orientation, most):
+        built = []
+        table = quiver._neighbour_table
+        monkeypatch.setattr(quiver, "_neighbour_table", lambda *a: built.append(a) or table(*a))
+        q = orient("E8", orientation)
+        assert len(built) <= most
+        assert q.neighbours == table(q.n, q.arrows)
 
 
 # == 4. heights ===================================================================

@@ -13,11 +13,14 @@ Core claims:
       every module pair at gaps 0 and 1, the Kostant count of every root
       of height at most 3 and of its sum with its mirror in the sorted list of
       those roots, and enumerate_l_dominant on every W^S + W^SigmaS weight of
-      mass at most 2
+      mass at most 2 and on weights whose Cartan splits reach 3 (so the
+      enumeration's own tables, the sorted-vertex permutation, the Cartan
+      terms per vertex and split and the sigma-simples, are built in both
+      orders)
     - the Kostant lifts of a root vector, kept on the index, still go through
       the injectivity check when they are built: lifts that collide raise
-      EnumerationMismatchError; and no enumeration hands out a vector that a
-      later one reads
+      EnumerationMismatchError; and no enumeration hands out a list or vector
+      that a later one reads, on the same weights
     - the stored Euler pairing that hom_dim, hl_form and verify_same_form
       read is the Euler form of the two modules' roots
 """
@@ -31,6 +34,7 @@ from cyclotome import (
     kostant_partitions, orient, positive_roots, some_orientations, v_f, v_sigma_f,
 )
 from cyclotome import dominance
+from cyclotome.dominance import sigma_simples
 from cyclotome.derived import DerivedObject
 from cyclotome.quiver import Tables
 
@@ -83,6 +87,17 @@ def _small_weights(idx):
     return out
 
 
+def _cartan_weights(idx):
+    """Weights whose Cartan splits reach 1, 2 and 3 at one vertex, and 2 at
+    two vertices at once, as sorted item tuples."""
+    simples = [sigma_simples(idx, i) for i in idx.quiver.vertices]
+    splits = ((1, 1), (2, 1), (2, 2), (3, 3), (1, 3))
+    out = [((s, a), (ss, b)) for s, ss in simples for a, b in splits]
+    out += [tuple(sorted({s: 2, ss: 2, t: 2, tt: 2}.items()))
+            for (s, ss), (t, tt) in zip(simples, simples[1:])]
+    return [tuple(sorted(w)) for w in out]
+
+
 def _queries(idx):
     """Every table-backed value of an index, as (kind, *arguments) tuples."""
     verts = list(idx.quiver.vertices)
@@ -96,7 +111,7 @@ def _queries(idx):
         + [("iota", m) for m in modules]
         + [("hom", x, y, gap) for gap in (0, 1) for x in modules for y in modules]
         + [("kostant", beta) for beta in betas]
-        + [("enumerate", items) for items in _small_weights(idx)]
+        + [("enumerate", items) for items in _small_weights(idx) + _cartan_weights(idx)]
     )
 
 
@@ -145,7 +160,7 @@ def test_colliding_lifts_raise(monkeypatch):
 
 def test_enumerations_hand_out_fresh_vectors():
     idx = build_index(orient("D4", "alternating"))
-    for items in _small_weights(idx):
+    for items in _small_weights(idx) + _cartan_weights(idx):
         first = enumerate_l_dominant(idx, dict(items))
         expected = [dict(v) for v in first]
         for v in first:

@@ -17,6 +17,9 @@ Core claims:
       like an unread pair with the same (v, w), and its copies and pickles
       pickle to the same bytes as the unread pair
     - a VWPair never orders against another type: < raises TypeError
+    - a VWPair's equality and hash agree: pairs built from dicts in other key
+      orders are equal with equal hashes, copies and pickles (before or after
+      the hash is first taken) keep both, and one coefficient apart is unequal
     - canon, VWPair and HalfLaurent take integer coefficients only: a float,
       even 0.0, raises TypeError instead of being truncated or dropped, True
       reads as the int 1 and False as the int 0, which is dropped
@@ -177,6 +180,34 @@ class TestVWPair:
         used, unused = self._used_and_unused()
         assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
         assert not used < unused and not unused < used
+
+    def test_key_order_changes_neither_equality_nor_hash(self):
+        v, w = {(1, 1): 2, (2, 0): 1, (3, 5): 4}, {(1, 0): 1, (2, 3): 2}
+        pair = VWPair(v, w)
+        for twin in (VWPair(dict(reversed(v.items())), w), VWPair(v, dict(reversed(w.items())))):
+            assert twin == pair and hash(twin) == hash(pair)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_copies_keep_equality_and_hash(self, clone, hashed_first):
+        pair = VWPair({(1, 1): 2, (2, 0): 1}, {(1, 0): 1})
+        if hashed_first:
+            hash(pair)
+        twin = clone(pair)
+        assert twin == pair and hash(twin) == hash(pair)
+        assert len({pair, twin}) == 1
+
+    def test_one_coefficient_apart_is_unequal(self):
+        pair = VWPair({(1, 1): 2, (2, 0): 1}, {(1, 0): 1})
+        for other in (
+            VWPair({(1, 1): 3, (2, 0): 1}, {(1, 0): 1}),
+            VWPair({(1, 1): 2, (2, 0): 1}, {(1, 0): 2}),
+            VWPair({(1, 1): 2}, {(1, 0): 1}),
+        ):
+            assert other != pair and not other == pair
+            assert len({pair, other}) == 2
 
     @pytest.mark.parametrize("other", FOREIGN, ids=repr)
     def test_never_orders_against_a_foreign_value(self, other):
