@@ -87,13 +87,15 @@ class VerificationReport(SimpleNamespace):
         self.checks.append(Check(name, computed, expected))
 
     def to_dict(self):
+        checks = [c.to_dict() for c in self.checks]
         return {
             "relation": self.relation,
             "type": self.dynkin_type,
             "orientation": self.orientation,
             "args": list(self.args),
-            "checks": [c.to_dict() for c in self.checks],
-            "pass": self.passed,
+            "checks": checks,
+            # judged once, in the check dicts just built
+            "pass": all(c["pass"] for c in checks),
         }
 
 
@@ -153,10 +155,16 @@ def _hom(index, i, j, gap=0) -> int:
     return index.ar.hom_dim(_simple_obj(index, i), DerivedObject(index.ar.simple[j], gap))
 
 
+def _dominant_vs(index, w) -> list[dict]:
+    """The l-dominant v for this w, enumerated once per index and kept on it
+    (shared, not to be mutated: a report records a copy)."""
+    return index.stored(("l-dominant", tuple(sorted(w.items()))), enumerate_l_dominant, index, w)
+
+
 def _only_dominant_above(index, w, floor) -> bool:
     """True when the only l-dominant v >= floor for this w is floor itself."""
     above = [
-        v for v in enumerate_l_dominant(index, w)
+        v for v in _dominant_vs(index, w)
         if all(v.get(k, 0) >= c for k, c in floor.items())
     ]
     return above == [dict(floor)]
@@ -237,7 +245,7 @@ def verify_ef(index: CycIndex, i: int, j: int) -> VerificationReport:
         HalfInt.of(0),
     )
     if i != j:
-        rep.add("only l-dominant v is 0", enumerate_l_dominant(index, w_total), [{}])
+        rep.add("only l-dominant v is 0", [dict(v) for v in _dominant_vs(index, w_total)], [{}])
         rep.add("d(E,F) = 0", d_form(index, m_e, m_f), 0)
         rep.add("d(F,E) = 0", d_form(index, m_f, m_e), 0)
         ef = FormalSum.of(VWPair({}, w_total), HalfLaurent.t_pow(leading_exponent(index, m_e, m_f)))
@@ -248,7 +256,7 @@ def verify_ef(index: CycIndex, i: int, j: int) -> VerificationReport:
     vf, vsf, wf = v_f(index, i), v_sigma_f(index, i), w_f(index, i)
     rep.add(
         "l-dominant v for w^f are 0, v^f, v^Sigma f",
-        enumerate_l_dominant(index, wf),
+        [dict(v) for v in _dominant_vs(index, wf)],
         canonical_order([{}, vf, vsf]),
     )
     # Leading shifts of the three restriction summands, recomputed from d.
@@ -297,7 +305,7 @@ def verify_kk(index: CycIndex, i: int, j: int) -> VerificationReport:
         add(k_i.v, k_j.v),
     ]
     no_excess = True
-    for v in enumerate_l_dominant(index, w_total):
+    for v in _dominant_vs(index, w_total):
         for lead in leaders:
             if v != lead and all(v.get(k, 0) >= c for k, c in lead.items()):
                 no_excess = False
@@ -344,7 +352,7 @@ def verify_serre(index: CycIndex, i: int, j: int) -> VerificationReport:
 
     if not adjacent:
         rep.add("case", "commuting", "commuting")
-        rep.add("only l-dominant v is 0", enumerate_l_dominant(index, w_prime), [{}])
+        rep.add("only l-dominant v is 0", [dict(v) for v in _dominant_vs(index, w_prime)], [{}])
         rep.add("d(E_i,E_j) = 0", d_form(index, m_ei, m_ej), 0)
         rep.add("d(E_j,E_i) = 0", d_form(index, m_ej, m_ei), 0)
         rep.add(

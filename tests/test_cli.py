@@ -2,7 +2,8 @@
 
 Core claims:
     - describe/enumerate/lift/forms/verify/serre-dims run and exit 0 on good input
-    - JSON output carries the schema version and passes
+    - JSON output carries the schema version and passes; verify --json judges
+      each check once
     - identical invocations produce byte-identical output
     - the JSON writer gives the bytes of json.dumps(obj, indent=2,
       sort_keys=True) on seeded nested payloads, escapes included, and
@@ -143,6 +144,22 @@ class TestSubcommands:
         assert payload["pass"] is True
         assert payload["schema"] == 1
         assert len(payload["reports"]) == 4
+
+    def test_verify_json_judges_each_check_once(self, capsys, monkeypatch):
+        judged = []
+        passed = relations.Check.passed
+
+        def counted(check):
+            judged.append(check)
+            return passed.fget(check)
+
+        monkeypatch.setattr(relations.Check, "passed", property(counted))
+        code, out = run(capsys, "verify", "all", "--type", "A3", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True
+        # exponent-table judges its own inner ef reports, whose checks are not printed
+        assert len(judged) == len({id(c) for c in judged}) >= 448
+        assert sum(len(r["checks"]) for r in payload["reports"]) == 448
 
     @pytest.mark.parametrize(
         "relation", ["ef", "kk", "same-form", "same-n", "exponent-table"]

@@ -15,6 +15,9 @@ Core claims:
       memo goes through Tables.stored
     - only forms.py spells the keys of the per-pair tables, ("residual", pair)
       and ("phi", pair): every other module reads them through forms
+    - relations.py names enumerate_l_dominant only in its import and in the
+      helper that keeps each weight's list on the index, so every verifier
+      enumerates a weight once per index
     - importing the command line loads neither dataclasses, typing nor inspect,
       whose import costs more than the rest of the package, nor argparse,
       json, fractions, decimal, re, enum, collections, functools, shutil or
@@ -206,6 +209,43 @@ def test_pair_table_key_detector(source, lines):
 def test_only_forms_spells_the_pair_table_keys(path):
     lines = pair_table_keys(ast.parse(path.read_text(encoding="utf-8")))
     assert bool(lines) == (path.name == "forms.py"), lines
+
+
+def named_outside(tree, name, keeper) -> list[int]:
+    """Lines that name `name` (a name, an attribute, a string or an import
+    under another name) outside the body of the function `keeper`."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == keeper
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in inside and (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Constant) and node.value == name
+            or isinstance(node, ast.alias) and node.name == name and node.asname
+        )
+    ]
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("from .dominance import enum\ndef keep(index, w):\n    return index.stored(k, enum, w)", []),
+    ("def verify_kk(index, w):\n    return enum(index, w)", [2]),
+    ("from . import dominance\nx = dominance.enum(index, w)", [2]),
+    ("from .dominance import enum as e", [1]),
+    ("f = getattr(dominance, 'enum')", [1]),
+])
+def test_named_outside_detector(source, lines):
+    assert named_outside(ast.parse(source), "enum", "keep") == lines
+
+
+def test_relations_enumerates_only_through_the_stored_helper():
+    tree = ast.parse((PACKAGE / "relations.py").read_text(encoding="utf-8"))
+    helper = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_dominant_vs"]
+    assert len(helper) == 1 and "enumerate_l_dominant" in named(helper[0])
+    assert named_outside(tree, "enumerate_l_dominant", "_dominant_vs") == []
 
 
 def test_cli_imports_no_single_verifier():

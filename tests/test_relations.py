@@ -7,6 +7,8 @@ Core claims:
     - reports expose exact computed/expected values and serialize to JSON
     - verify(index, relation) gives exactly the reports verify_all gives for
       that relation
+    - verify_all enumerates each weight once per index, and no report holds
+      what the index keeps: editing a report's values changes no later verify
     - no verifier passes vacuously: serre on i = i and same-form on a quiver
       with one module raise CaseMismatchError
     - same-n evaluates only the ordered pairs of the module lifts of height
@@ -402,6 +404,35 @@ class TestDictionary:
         assert [r.to_dict() for r in reports] == [
             r.to_dict() for r in verify_all(idx, mass_cap=2) if r.relation == relation
         ]
+
+    @pytest.mark.parametrize("t,cap,calls", [
+        ("A3", 3, 34), ("D4", 3, 61), ("E6", 1, 139), ("E8", 1, 249),
+    ])
+    def test_verify_all_enumerates_each_weight_once(self, monkeypatch, t, cap, calls):
+        weights = []
+
+        def counted(index, w, *args, **kwargs):
+            weights.append(tuple(sorted(w.items())))
+            return enumerate_l_dominant(index, w, *args, **kwargs)
+
+        monkeypatch.setattr(relations, "enumerate_l_dominant", counted)
+        verify_all(build_index(orient(t, "alternating")), mass_cap=cap)
+        assert len(set(weights)) == len(weights)
+        assert len(weights) == calls
+
+    def test_reports_hold_no_stored_state(self):
+        idx = build_index(orient("D4", "alternating"))
+        for rep in verify_all(idx, mass_cap=2):
+            for c in rep.checks:
+                if isinstance(c.computed, list):
+                    for entry in c.computed:
+                        if isinstance(entry, dict):
+                            entry[(0, 0)] = 7
+                    c.computed.append({(0, 1): 1})
+                elif isinstance(c.computed, dict):
+                    c.computed[(0, 0)] = 7
+        fresh = verify_all(build_index(orient("D4", "alternating")), mass_cap=2)
+        assert [r.to_dict() for r in verify_all(idx, mass_cap=2)] == [r.to_dict() for r in fresh]
 
     def test_verify_rejects_an_unknown_relation(self):
         with pytest.raises(ValueError, match="unknown relation"):
