@@ -46,7 +46,7 @@ def _build_index(args) -> CycIndex:
     if not args.orientation.startswith("file:"):
         return build_index(orient("A2" if args.type is None else args.type, args.orientation))
     path = args.orientation[5:]
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         quiver = load_quiver(fh.read())
     # orient() normalises the name the way the built-in trees do, so a3 is A3
     if args.type is not None and orient(args.type).dynkin_type != quiver.dynkin_type:
@@ -158,8 +158,7 @@ def print_json(payload) -> None:
 
 # -- subcommands -----------------------------------------------------------------
 
-def cmd_describe(args) -> int:
-    index = _build_index(args)
+def cmd_describe(index: CycIndex, args) -> int:
     q = index.quiver
     gens = chevalley_generators(index)
     if args.json:
@@ -200,8 +199,7 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def cmd_ar_quiver(args) -> int:
-    index = _build_index(args)
+def cmd_ar_quiver(index: CycIndex, args) -> int:
     if args.dot:
         sys.stdout.write(ar_quiver_dot(index.ar))
         return 0
@@ -211,14 +209,12 @@ def cmd_ar_quiver(args) -> int:
     return 0
 
 
-def cmd_rep_space(args) -> int:
-    index = _build_index(args)
+def cmd_rep_space(index: CycIndex, args) -> int:
     sys.stdout.write(rep_space_dot(index))
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    index = _build_index(args)
+def cmd_enumerate(index: CycIndex, args) -> int:
     w = parse_sparse(index, args.w)
     solutions = enumerate_l_dominant(index, w, verify=args.verify)
     if args.json:
@@ -236,8 +232,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_lift(args) -> int:
-    index = _build_index(args)
+def cmd_lift(index: CycIndex, args) -> int:
     wtilde = parse_sparse(index, args.wtilde)
     pair = solve_w_tilde(index, wtilde)
     if args.json:
@@ -252,8 +247,7 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def cmd_forms(args) -> int:
-    index = _build_index(args)
+def cmd_forms(index: CycIndex, args) -> int:
     m1, m2 = (parse_pair(index, literal) for literal in args.pair)
     values = {
         "d(m1,m2)": d_form(index, m1, m2),
@@ -275,8 +269,7 @@ def cmd_forms(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    index = _build_index(args)
+def cmd_verify(index: CycIndex, args) -> int:
     if args.relation == "all":
         reports = verify_all(index, mass_cap=args.mass_cap)
     else:
@@ -329,8 +322,7 @@ def _first_failure(computed, expected) -> str:
     return f"computed {computed!r} != {expected!r}"
 
 
-def cmd_serre_dims(args) -> int:
-    index = _build_index(args)
+def cmd_serre_dims(index: CycIndex, args) -> int:
     dims = serre_quotient_dims(index.quiver, args.maxdeg)
     rows = [(beta, d, kostant_partitions(index, beta)) for beta, d in sorted(dims.items())]
     all_ok = all(d == k for _, d, k in rows)
@@ -466,7 +458,7 @@ def parse_args(argv: list[str]):
 def main(argv=None) -> int:
     handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = handler(args)
+        code = handler(_build_index(args), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -18,8 +18,8 @@ Vertex = tuple[int, int]  # (quiver vertex i, height residue a mod 2h)
 
 
 class IndexInvariantError(RuntimeError):
-    """The section, the shift involution or C_q left its index set; signals
-    an internal bug."""
+    """The section or C_q left its index set, or the shift rule disagrees
+    with the section; signals an internal bug."""
 
 
 class CycIndex(Tables):
@@ -49,19 +49,16 @@ class CycIndex(Tables):
         if set(self.section) != self.sigma_i_hat:
             raise IndexInvariantError("the section does not cover sigma-I-hat")
 
-        # The shift involution on vertices: conjugate the slot-level shift
-        # through the section on sigma-I-hat, extend to I-hat by commuting
-        # with sigma.
-        self.shift_vertex_map: dict[Vertex, Vertex] = {}
+        # The shift involution on vertices: (i, a) -> (nu(i), a + h) on both
+        # halves, where nu(i) is the row of the injective I_i.  On sigma-I-hat
+        # it must be the slot-level shift conjugated through the section.
+        self.shift_vertex_map: dict[Vertex, Vertex] = {
+            (i, a): (self.ar.injective[i][0], (a + self.h) % self.two_h)
+            for i in quiver.vertices for a in range(self.two_h)
+        }
         for v, slot in self.section.items():
-            self.shift_vertex_map[v] = self.vertex_of_slot[self.ar.sigma_slot[slot]]
-        for v in self.i_hat:
-            self.shift_vertex_map[v] = self.sigma(
-                self.shift_vertex_map[self.sigma_inv(v)]
-            )
-        for v, w in self.shift_vertex_map.items():
-            if self.shift_vertex_map[w] != v:
-                raise IndexInvariantError("shift involution broken")
+            if self.shift_vertex_map[v] != self.vertex_of_slot[self.ar.sigma_slot[slot]]:
+                raise IndexInvariantError(f"shift rule disagrees with the section at {v}")
 
     # -- vertex maps --
 
@@ -92,10 +89,6 @@ class CycIndex(Tables):
         return self.ar.object_of_slot(self.section[v])
 
     # -- vector plumbing --
-
-    def e_slot(self, slot: Slot) -> dict[Vertex, int]:
-        """Unit v-vector at the vertex of a window slot."""
-        return {self.vertex_of_slot[slot]: 1}
 
     def assert_v_vector(self, v: dict[Vertex, int]) -> None:
         for key in v:

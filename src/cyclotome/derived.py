@@ -140,15 +140,12 @@ class ARQuiver(Tables):
     def window_slots(self) -> list[Slot]:
         return sorted(self.class_of)
 
-    def is_module_slot(self, slot: Slot) -> bool:
-        return slot in self.root_of
-
     def is_injective(self, slot: Slot) -> bool:
         return slot in self._injective_slots
 
     def object_of_slot(self, slot: Slot) -> DerivedObject:
         """The window object at a slot: a module, or the shift of one."""
-        if self.is_module_slot(slot):
+        if slot in self.root_of:
             return DerivedObject(slot, 0)
         neg = tuple(-x for x in self.class_of[slot])
         return DerivedObject(self.slot_of_root[neg], 1)

@@ -206,25 +206,33 @@ def load_quiver(text: str) -> DynkinQuiver:
     """Parse the plain-text quiver format.
 
     Exactly one line ``vertices: n`` (a second raises QuiverError) and
-    ``arrow: s t`` lines; blank lines and ``#`` comments are ignored.
+    ``arrow: s t`` lines of integers; blank lines and ``#`` comments are
+    ignored.  Any other line raises a QuiverError that quotes it.
     """
     n = None
     arrows: list[tuple[int, int]] = []
+    forms = {"vertices": ("vertices: n", 1), "arrow": ("arrow: s t", 2)}  # shape, arity
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(":")
         key = key.strip().lower()
-        if key == "vertices":
-            if n is not None:
-                raise QuiverError(f"second 'vertices:' line: {raw!r}")
-            n = int(rest)
-        elif key == "arrow":
-            s, t = rest.split()
-            arrows.append((int(s), int(t)))
-        else:
+        if key not in forms:
             raise QuiverError(f"unrecognized line: {raw!r}")
+        if key == "vertices" and n is not None:
+            raise QuiverError(f"second 'vertices:' line: {raw!r}")
+        try:
+            values = tuple(int(x) for x in rest.split())
+        except ValueError:
+            values = ()
+        shape, arity = forms[key]
+        if len(values) != arity:
+            raise QuiverError(f"expected '{shape}' with integers, got {raw!r}")
+        if key == "vertices":
+            n = values[0]
+        else:
+            arrows.append(values)
     if n is None:
         raise QuiverError("missing 'vertices: n' line")
     return make_dynkin_quiver(n, arrows)

@@ -170,6 +170,13 @@ def _only_dominant_above(index, w, floor) -> bool:
     return above == [dict(floor)]
 
 
+def _commutator(index, m1: VWPair, m2: VWPair, w) -> FormalSum:
+    """m1 x m2 - m2 x m1 on the label (0, w), from the two leading exponents."""
+    t_pow = HalfLaurent.t_pow
+    return FormalSum.of(VWPair({}, w), t_pow(leading_exponent(index, m1, m2))
+                        - t_pow(leading_exponent(index, m2, m1)))
+
+
 def _transport(index, m: VWPair) -> VWPair:
     """The shift transport of a pair: both vectors pulled back along the shift."""
     return VWPair(index.shift_pullback(m.v), index.shift_pullback(m.w))
@@ -248,9 +255,7 @@ def verify_ef(index: CycIndex, i: int, j: int) -> VerificationReport:
         rep.add("only l-dominant v is 0", [dict(v) for v in _dominant_vs(index, w_total)], [{}])
         rep.add("d(E,F) = 0", d_form(index, m_e, m_f), 0)
         rep.add("d(F,E) = 0", d_form(index, m_f, m_e), 0)
-        ef = FormalSum.of(VWPair({}, w_total), HalfLaurent.t_pow(leading_exponent(index, m_e, m_f)))
-        fe = FormalSum.of(VWPair({}, w_total), HalfLaurent.t_pow(leading_exponent(index, m_f, m_e)))
-        rep.add("commutator vanishes", ef - fe, FormalSum())
+        rep.add("commutator vanishes", _commutator(index, m_e, m_f, w_total), FormalSum())
         return rep
 
     vf, vsf, wf = v_f(index, i), v_sigma_f(index, i), w_f(index, i)
@@ -267,19 +272,10 @@ def verify_ef(index: CycIndex, i: int, j: int) -> VerificationReport:
     rep.add("EF shifts at v^f, v^Sigma f, 0", (ef_vf, ef_vsf, ef_0), (1, -1, 0))
     rep.add("FE shifts at v^f, v^Sigma f", (fe_vf, fe_vsf), (-1, 1))
 
-    l0 = VWPair({}, wf)
-    lkp = VWPair(vf, wf)
-    lk = VWPair(vsf, wf)
-    ef_sum = (
-        FormalSum.of(l0, HalfLaurent.t_pow(ef_0))
-        + FormalSum.of(lkp, HalfLaurent.t_pow(ef_vf))
-        + FormalSum.of(lk, HalfLaurent.t_pow(ef_vsf))
-    )
-    fe_sum = (
-        FormalSum.of(l0)
-        + FormalSum.of(lkp, HalfLaurent.t_pow(fe_vf))
-        + FormalSum.of(lk, HalfLaurent.t_pow(fe_vsf))
-    )
+    l0, lkp, lk = VWPair({}, wf), VWPair(vf, wf), VWPair(vsf, wf)
+    t_pow = HalfLaurent.t_pow
+    ef_sum = FormalSum({l0: t_pow(ef_0), lkp: t_pow(ef_vf), lk: t_pow(ef_vsf)})
+    fe_sum = FormalSum({l0: 1, lkp: t_pow(fe_vf), lk: t_pow(fe_vsf)})
     expected = (FormalSum.of(lkp) - FormalSum.of(lk)).scale(T - T_INV)
     rep.add("[E,F] = (t - t^-1)(K' - K) labels", ef_sum - fe_sum, expected)
     return rep
@@ -360,20 +356,13 @@ def verify_serre(index: CycIndex, i: int, j: int) -> VerificationReport:
             2 * leading_exponent(index, m_ei, m_ej),
             HalfInt.of(0),
         )
-        lbl = VWPair({}, w_prime)
-        ij = FormalSum.of(lbl, HalfLaurent.t_pow(leading_exponent(index, m_ei, m_ej)))
-        ji = FormalSum.of(lbl, HalfLaurent.t_pow(leading_exponent(index, m_ej, m_ei)))
-        rep.add("commutator vanishes", ij - ji, FormalSum())
+        rep.add("commutator vanishes", _commutator(index, m_ei, m_ej, w_prime), FormalSum())
         return rep
 
     # delta = 1 precisely when tau S_j = S_i inside the module category.
     tau_sj = index.ar.tau(_simple_obj(index, j))
     delta = 1 if tau_sj == _simple_obj(index, i) else 0
-    chi = euler_a(
-        index,
-        phi(index, m_ei.w),
-        phi(index, m_ej.w),
-    )
+    chi = euler_a(index, phi(index, m_ei.w), phi(index, m_ej.w))
     # chi is pinned by the case; delta = [tau S_j = S_i] additionally needs the
     # almost-split sequence ending at S_j to have simple middle term, which
     # holds in particular for A2 but is not orientation-universal.
@@ -385,20 +374,18 @@ def verify_serre(index: CycIndex, i: int, j: int) -> VerificationReport:
     else:
         raise CaseMismatchError(f"vertices {i}, {j} adjacent but no extension found")
 
-    v_si = index.e_slot(index.ar.simple[i])
+    v_si = {index.vertex_of_slot[index.ar.simple[i]]: 1}
     w_full = add(scale(m_ei.w, 2), m_ej.w)
     p1 = VWPair(v_si, m_ei.w)
-    p2 = m_ej
     p3 = VWPair({}, w_prime)
-    p4 = m_ei
     p5 = VWPair(v_si, w_prime)
     for name, a, b, expected in (
-        ("d((e_Si,e_sigmaSi),(0,e_sigmaSj))", p1, p2, 0),
-        ("d((0,e_sigmaSj),(e_Si,e_sigmaSi))", p2, p1, delta),
+        ("d((e_Si,e_sigmaSi),(0,e_sigmaSj))", p1, m_ej, 0),
+        ("d((0,e_sigmaSj),(e_Si,e_sigmaSi))", m_ej, p1, delta),
         ("d((e_Si,e_sigmaSi),(0,w'))", p1, p3, 1),
         ("d((0,w'),(e_Si,e_sigmaSi))", p3, p1, delta),
-        ("d((0,e_sigmaSi),(e_Si,w'))", p4, p5, 0),
-        ("d((e_Si,w'),(0,e_sigmaSi))", p5, p4, 1),
+        ("d((0,e_sigmaSi),(e_Si,w'))", m_ei, p5, 0),
+        ("d((e_Si,w'),(0,e_sigmaSi))", p5, m_ei, 1),
     ):
         rep.add(name, d_form(index, a, b), expected)
 
@@ -413,36 +400,29 @@ def verify_serre(index: CycIndex, i: int, j: int) -> VerificationReport:
     ):
         rep.add(f"twist scalar {name}", twist_exponent(index, w1, w2), half_neg_chi)
 
-    # Assemble the six proven product decompositions with opaque labels and
-    # expand the Serre combination.
-    a_scalar = HalfLaurent.t_pow(half_neg_chi)
-    a_inv = HalfLaurent.t_pow(HalfInt(chi))
-    lbl_s = VWPair({}, m_ej.w)
-    lbl_pp = VWPair({}, w_prime)
-    lbl_qp = VWPair(v_si, w_prime)
-    lbl_p = VWPair({}, w_full)
-    lbl_q = VWPair(v_si, w_full)
+    # The six proven product decompositions of E_i times a label, on the left:
+    # label -> ((label of a summand, its t-exponent), ...); on the right each
+    # exponent changes sign.  Expand the Serre combination from them.
+    products = {
+        m_ej: ((p3, 0), (p5, delta)),
+        p3: ((VWPair({}, w_full), 0), (VWPair(v_si, w_full), delta - 1)),
+        p5: ((VWPair(v_si, w_full), 1),),
+    }
     t_pow = HalfLaurent.t_pow
 
     def mul_u(fs: FormalSum, scalar: HalfLaurent, sign: int) -> FormalSum:
         """Multiply by E_i on the left (sign +1, scalar a) or right (-1, a^-1)."""
         out = FormalSum()
         for key, coeff in fs.terms.items():
-            c = coeff * scalar
-            if key == lbl_s:
-                out = out + FormalSum.of(lbl_pp, c)
-                out = out + FormalSum.of(lbl_qp, c * t_pow(sign * delta))
-            elif key == lbl_pp:
-                out = out + FormalSum.of(lbl_p, c)
-                out = out + FormalSum.of(lbl_q, c * t_pow(sign * (delta - 1)))
-            elif key == lbl_qp:
-                out = out + FormalSum.of(lbl_q, c * t_pow(sign))
-            else:
+            if key not in products:
                 raise SerreExpansionError(f"unexpected label {key}")
+            c = coeff * scalar
+            for label, k in products[key]:
+                out = out + FormalSum.of(label, c * t_pow(sign * k) if k else c)
         return out
 
-    left, right = (a_scalar, 1), (a_inv, -1)
-    start = FormalSum.of(lbl_s)
+    left, right = (t_pow(half_neg_chi), 1), (t_pow(HalfInt(chi)), -1)
+    start = FormalSum.of(m_ej)
     uus = mul_u(mul_u(start, *left), *left)
     usu_a = mul_u(mul_u(start, *right), *left)
     usu_b = mul_u(mul_u(start, *left), *right)

@@ -12,6 +12,8 @@ Core claims:
     - malformed input exits 2 with a message, never a traceback (seeded fuzz);
       a malformed numeric token is named in it, and so is a piece whose
       multiplicity after "=" is missing or not an integer
+    - a malformed quiver-file line exits 2 and is quoted in the message; a
+      quiver file that starts with a UTF-8 byte-order mark loads
     - a verify that would run no case exits 2 instead of passing vacuously
     - a --mass-cap above the same-n bound exits 2 at once with one error line
     - a verify with a failing check exits 1 and shows the check in text, JSON
@@ -342,6 +344,25 @@ class TestSubcommands:
         assert captured.err.startswith("cyclotome: error:")
         assert "vertices" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("line", ["vertices: x", "arrow: 1", "arrow: 1 2 3", "arrow: a b"])
+    def test_malformed_quiver_line_exits_two_quoting_it(self, line, tmp_path, capsys):
+        spec = tmp_path / "quiver.txt"
+        text = f"vertices: 2\n{line}\n" if line.startswith("arrow") else f"{line}\narrow: 1 2\n"
+        spec.write_text(text, encoding="utf-8")
+        assert main(["describe", "--orientation", f"file:{spec}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cyclotome: error:")
+        assert repr(line) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_quiver_file_with_byte_order_mark_loads(self, tmp_path, capsys):
+        spec = tmp_path / "quiver.txt"
+        spec.write_text("\ufeffvertices: 3\narrow: 3 2\narrow: 2 1\n", encoding="utf-8")
+        assert main(["describe", "--orientation", f"file:{spec}"]) == 0
+        out = capsys.readouterr().out
+        assert main(["describe", "--type", "A3"]) == 0
+        assert out == capsys.readouterr().out
 
     def test_weight_outside_cone_exits_two(self, capsys):
         # sigma(P2) is not a W^S + W^SigmaS vertex

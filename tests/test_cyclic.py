@@ -8,6 +8,8 @@ Core claims:
       (i, xi(i)+1) and commutes with tau
     - sigma swaps the halves, sigma^2 = tau, the shift involution squares to
       the identity and commutes with sigma
+    - the shift rule (i, a) -> (nu(i), a + h) is checked against the section:
+      a window whose slot-level shift is another involution is refused
     - C_q follows the displayed rule, lands in I-hat, commutes with the shift
       pullback, and has a nonzero integer kernel
 """
@@ -17,6 +19,8 @@ import pytest
 from cyclotome import (
     build_index, height_function, orient, quiver, some_orientations, v_f, v_sigma_f, w_f,
 )
+from cyclotome import cyclic
+from cyclotome.cyclic import IndexInvariantError
 from cyclotome.derived import DerivedObject
 from cyclotome.reflections import matrix_rank
 
@@ -120,6 +124,19 @@ def test_shift_involution_and_sigma_commutation(t):
     for v in idx.i_hat | idx.sigma_i_hat:
         assert idx.shift_vertex(idx.shift_vertex(v)) == v
         assert idx.shift_vertex(idx.sigma(v)) == idx.sigma(idx.shift_vertex(v))
+
+
+@pytest.mark.parametrize("t", ["A1", "A4", "D5", "E6"])
+def test_shift_rule_must_match_the_section(t, monkeypatch):
+    # the identity is an involution of the window slots too, but not the shift
+    def knit_without_shift(q, _real=cyclic.knit):
+        ar = _real(q)
+        ar.sigma_slot = {slot: slot for slot in ar.sigma_slot}
+        return ar
+
+    monkeypatch.setattr(cyclic, "knit", knit_without_shift)
+    with pytest.raises(IndexInvariantError, match="shift rule disagrees with the section"):
+        build_index(orient(t, "alternating"))
 
 
 def test_shift_preserves_halves():

@@ -3,7 +3,7 @@
 Core claims:
     - each subcommand below prints exactly the bytes stored in tests/golden/
     - ``verify all --json`` on D4 (mass cap 3), E6 (mass caps 1, 4 and 8),
-      E7 (mass cap 6) and E8 (mass cap 1), alternating, prints output with
+      E7 (mass caps 1 and 6) and E8 (mass cap 1), alternating, prints output with
       the SHA-256 digests pinned below (the outputs run from 142 KB to
       994 KB, so only their digests are kept); the high caps hold the same-n
       pair count N, counted from the modules' root heights, to the bytes of
@@ -71,6 +71,7 @@ DIGESTS = {
     ("E6", "1"): "e72af0231a239ddbfb265fdc20f31bfd86cbce200c0a8970407f1a0f16dda922",
     ("E6", "4"): "826e376045e1804f477b871e9d0335d3eb3650f8bca3015c11fa1c75ed67e2b9",
     ("E6", "8"): "f89212a858087111b5d8a4903b9d42c319638c2e133aeb74f8882eec3dce8fd8",
+    ("E7", "1"): "4e010ba7afd05302687343c2d13ab894d4ac6949a5259e69450212952562873b",
     ("E7", "6"): "53b048771197eda19e77cd903e9bf4ac277bd9fb980ada18b65443b1e9160a71",
     ("E8", "1"): "16bacc2f76bd860499f08c013beeb546301ec8d4195a3c838094d2b8747e6def",
 }

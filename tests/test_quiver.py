@@ -2,7 +2,8 @@
 
 Core claims:
     - load_quiver classifies ADE trees and rejects cycles / multi-edges / non-ADE
-    - load_quiver refuses a second ``vertices:`` line
+    - load_quiver refuses a second ``vertices:`` line, and a malformed
+      ``vertices:`` or ``arrow:`` line with a QuiverError that quotes it
     - the Coxeter number table matches the order of a Coxeter element s_1...s_n,
       powered here from the reflections alone
     - euler_form is Z-bilinear and cartan_entry symmetric
@@ -82,6 +83,15 @@ class TestLoadQuiver:
         # the later line would silently win and load this as A3
         with pytest.raises(QuiverError, match="second 'vertices:' line"):
             load_quiver("vertices: 2\nvertices: 3\narrow: 1 2\narrow: 2 3\n")
+
+    @pytest.mark.parametrize("line", [
+        "vertices: x", "vertices:", "vertices: 2 3", "arrow: 1", "arrow: 1 2 3", "arrow: a b",
+    ])
+    def test_malformed_line_is_quoted(self, line):
+        text = f"vertices: 2\n{line}\n" if line.startswith("arrow") else f"{line}\narrow: 1 2\n"
+        with pytest.raises(QuiverError) as caught:
+            load_quiver(text)
+        assert repr(line) in str(caught.value)
 
     @pytest.mark.parametrize("t,h", [("A1", 2), ("A4", 5), ("D4", 6), ("D5", 8),
                                      ("E6", 12), ("E7", 18), ("E8", 30)])
