@@ -277,36 +277,56 @@ def cmd_verify(index: CycIndex, args) -> int:
         if not reports:
             # a report list that checked nothing is no pass
             raise ValueError(f"{args.relation} has no cases on {index.quiver.dynkin_type}")
+    # each check is judged once, and every output form reads these verdicts
+    verdicts = [[c.passed for c in r.checks] for r in reports]
+    passes = [all(v) for v in verdicts]
+    all_pass = all(passes)
     if args.json:
-        # each check is judged once, in the dicts that are printed
-        dicts = [r.to_dict() for r in reports]
-        all_pass = all(d["pass"] for d in dicts)
-        print_json({
-            "schema": SCHEMA_VERSION,
-            "type": index.quiver.dynkin_type,
-            "orientation": index.quiver.orientation_label(),
-            "reports": dicts,
-            "pass": all_pass,
-        })
-        return 0 if all_pass else 1
-    all_pass = all(r.passed for r in reports)
-    if args.markdown:
+        _print_verify_json(index, reports, verdicts, passes, all_pass)
+    elif args.markdown:
         print(f"# relation suite: {index.quiver}")
         print("| relation | args | checks | pass |")
         print("|---|---|---|---|")
-        for r in reports:
-            print(f"| {r.relation} | {r.args} | {len(r.checks)} | {'yes' if r.passed else 'NO'} |")
+        for r, ok in zip(reports, passes):
+            print(f"| {r.relation} | {r.args} | {len(r.checks)} | {'yes' if ok else 'NO'} |")
         print(f"\noverall: {'pass' if all_pass else 'FAIL'}")
     else:
-        for r in reports:
-            status = "pass" if r.passed else "FAIL"
-            print(f"{status}  {r.relation}{r.args} [{len(r.checks)} checks]")
-            if not r.passed:
-                for c in r.checks:
-                    if not c.passed:
-                        print(f"      {c.name}: {_first_failure(c.computed, c.expected)}")
+        for r, verdict, ok in zip(reports, verdicts, passes):
+            print(f"{'pass' if ok else 'FAIL'}  {r.relation}{r.args} [{len(r.checks)} checks]")
+            for c, c_ok in zip(r.checks, verdict):
+                if not c_ok:
+                    print(f"      {c.name}: {_first_failure(c.computed, c.expected)}")
         print(f"overall: {'pass' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
+
+
+def _print_verify_json(index: CycIndex, reports, verdicts, passes, all_pass) -> None:
+    """Print the bytes that print_json gives for the verify payload, written
+    straight from the reports: each check from one template and each report
+    from another, their keys already in sorted order.  As in print_json, the
+    whole text is built before a byte is printed."""
+    from _json import encode_basestring_ascii as quote  # only JSON output pays for it
+
+    def listed(items: list, indent: str) -> str:
+        return f"[{','.join(items)}{indent}]" if items else "[]"
+
+    check = ('\n        {\n          "computed": %s,\n          "expected": %s,'
+             '\n          "name": %s,\n          "pass": %s\n        }')
+    report = ('\n    {\n      "args": %s,\n      "checks": %s,\n      "orientation": %s,'
+              '\n      "pass": %s,\n      "relation": %s,\n      "type": %s\n    }')
+    out = []
+    for r, verdict, ok in zip(reports, verdicts, passes):
+        checks = [check % (quote(repr(c.computed)), quote(repr(c.expected)), quote(c.name),
+                           "true" if c_ok else "false") for c, c_ok in zip(r.checks, verdict)]
+        args = ["\n        " + int.__repr__(a) for a in r.args]
+        out.append(report % (listed(args, "\n      "), listed(checks, "\n      "),
+                             quote(r.orientation), "true" if ok else "false",
+                             quote(r.relation), quote(r.dynkin_type)))
+    q = index.quiver
+    print('{\n  "orientation": %s,\n  "pass": %s,\n  "reports": %s,\n  "schema": %s,'
+          '\n  "type": %s\n}' % (quote(q.orientation_label()), "true" if all_pass else "false",
+                                 listed(out, "\n  "), int.__repr__(SCHEMA_VERSION),
+                                 quote(q.dynkin_type)))
 
 
 def _first_failure(computed, expected) -> str:

@@ -60,14 +60,6 @@ class Check(SimpleNamespace):
     def passed(self) -> bool:
         return self.computed == self.expected
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "computed": repr(self.computed),
-            "expected": repr(self.expected),
-            "pass": self.passed,
-        }
-
 
 class VerificationReport(SimpleNamespace):
     def __init__(self, relation: str, dynkin_type: str, orientation: str, args: tuple,
@@ -85,18 +77,6 @@ class VerificationReport(SimpleNamespace):
 
     def add(self, name, computed, expected):
         self.checks.append(Check(name, computed, expected))
-
-    def to_dict(self):
-        checks = [c.to_dict() for c in self.checks]
-        return {
-            "relation": self.relation,
-            "type": self.dynkin_type,
-            "orientation": self.orientation,
-            "args": list(self.args),
-            "checks": checks,
-            # judged once, in the check dicts just built
-            "pass": all(c["pass"] for c in checks),
-        }
 
 
 def _report(index: CycIndex, relation: str, args) -> VerificationReport:

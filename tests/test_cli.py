@@ -2,14 +2,18 @@
 
 Core claims:
     - describe/enumerate/lift/forms/verify/serre-dims run and exit 0 on good input
-    - JSON output carries the schema version and passes; verify --json judges
-      each check once
+    - JSON output carries the schema version and passes; verify judges each
+      check once, in JSON, text and Markdown
+    - verify --json gives the bytes of json.dumps(indent=2, sort_keys=True) on
+      a payload built in the test from the reports, planted failing and
+      awkward reports included
     - identical invocations produce byte-identical output
     - the JSON writer gives the bytes of json.dumps(obj, indent=2,
       sort_keys=True) on seeded nested payloads, escapes included, and
       refuses a float, a set or a non-str key with TypeError
     - the documented literal grammar (numeric and named tokens) round-trips
-    - malformed input exits 2 with a message, never a traceback (seeded fuzz);
+    - malformed input exits 2 with a message, never a traceback (seeded fuzz
+      of literals and of mutated quiver files);
       a malformed numeric token is named in it, and so is a piece whose
       multiplicity after "=" is missing or not an integer
     - a malformed quiver-file line exits 2 and is quoted in the message; a
@@ -44,7 +48,7 @@ from pathlib import Path
 import pytest
 
 from cyclotome.cli import main, parse_pair, parse_sparse, print_json
-from cyclotome import FormalSum, HalfLaurent, build_index, orient, iota, relations
+from cyclotome import FormalSum, HalfLaurent, build_index, cli, orient, iota, relations
 
 
 def run(capsys, *argv):
@@ -162,6 +166,21 @@ class TestSubcommands:
         # exponent-table judges its own inner ef reports, whose checks are not printed
         assert len(judged) == len({id(c) for c in judged}) >= 448
         assert sum(len(r["checks"]) for r in payload["reports"]) == 448
+
+    @pytest.mark.parametrize("fmt", [[], ["--markdown"]], ids=["text", "md"])
+    def test_verify_text_and_markdown_judge_each_check_once(self, fmt, capsys, monkeypatch):
+        judged = []
+        passed = relations.Check.passed
+
+        def counted(check):
+            judged.append(check)
+            return passed.fget(check)
+
+        monkeypatch.setattr(relations.Check, "passed", property(counted))
+        code, out = run(capsys, "verify", "all", "--type", "A3", *fmt)
+        assert code == 0 and out.endswith("overall: pass\n")
+        # exponent-table judges its own inner ef reports, whose checks are not printed
+        assert len(judged) == len({id(c) for c in judged}) >= 448
 
     @pytest.mark.parametrize(
         "relation", ["ef", "kk", "same-form", "same-n", "exponent-table"]
@@ -403,6 +422,56 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
+def verify_payload(index, reports) -> dict:
+    """The verify --json payload built here from the reports' attributes,
+    judging each check by == itself."""
+    dicts = [{
+        "relation": r.relation,
+        "type": r.dynkin_type,
+        "orientation": r.orientation,
+        "args": list(r.args),
+        "checks": [{"name": c.name, "computed": repr(c.computed), "expected": repr(c.expected),
+                    "pass": c.computed == c.expected} for c in r.checks],
+        "pass": all(c.computed == c.expected for c in r.checks),
+    } for r in reports]
+    return {"schema": 1, "type": index.quiver.dynkin_type,
+            "orientation": index.quiver.orientation_label(), "reports": dicts,
+            "pass": all(d["pass"] for d in dicts)}
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "D4", "E6"])
+@pytest.mark.parametrize("o", ["linear", "alternating"])
+def test_verify_json_writer_matches_json_dumps(t, o, capsys):
+    index = build_index(orient(t, o))
+    payload = verify_payload(index, relations.verify_all(index, mass_cap=1))
+    code, out = run(capsys, "verify", "all", "--type", t, "--orientation", o,
+                    "--mass-cap", "1", "--json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_json_writer_matches_json_dumps_on_planted_reports(capsys, monkeypatch):
+    from cyclotome.relations import VerificationReport
+
+    honest = relations.verify_ek(build_index(orient("A2", "linear")), 1, 2)
+    failing = VerificationReport("ek", "A2", "2>1", (2, 1))
+    failing.add("agrees", (1, 2), (1, 2))
+    failing.add("doomed", 1, 2)
+    bare = VerificationReport("same-form", "A2", "2>1", ())
+    bare.add('a "quoted" \\ name, \u03a3 and \U0001d11e', {(1, 0): 1}, {(1, 0): 1})
+    empty = VerificationReport("kk", "A2", "2>1", (1, 1))
+    reports = [honest, failing, bare, empty]
+    monkeypatch.setattr(cli, "verify_all", lambda index, mass_cap: reports)
+    code, out = run(capsys, "verify", "all", "--type", "A2", "--json")
+    payload = verify_payload(build_index(orient("A2", "linear")), reports)
+    assert code == 1
+    assert payload["pass"] is False and [d["pass"] for d in payload["reports"]] == [
+        True, False, True, True]
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # the empty args and the empty checks are written as [] on the key's line
+    assert '"args": [],' in out and '"checks": [],' in out
+
+
 #: Strings that exercise every escape: a non-ASCII letter, an astral character
 #: (a surrogate pair), control characters, a quote and a backslash.
 AWKWARD = ["", "plain", "\u03a3", "\U0001d11e", "\x00\x1f\t\n\x7f", '"', "\\"]
@@ -513,6 +582,57 @@ def test_fuzzed_literals_exit_zero_or_two(capsys):
         assert code == 0 or err.startswith("cyclotome: error:"), argv
         codes[code] += 1
     # both outcomes occur, so the fuzz reaches the commands' bodies
+    assert min(codes.values()) > 0
+
+
+def quiver_file(t: str, o: str) -> list[str]:
+    q = orient(t, o)
+    return [f"vertices: {len(q.vertices)}", *(f"arrow: {a} {b}" for a, b in q.arrows)]
+
+
+QUIVER_FILES = [quiver_file(t, o) for t in ("A3", "D4", "E6") for o in ("linear", "alternating")]
+
+
+def mutate_quiver_file(rng, lines: list[str]) -> str:
+    """Drop, duplicate or swap lines, change a character, add a blank, comment,
+    junk or NUL line, upper-case a line, or add a byte-order mark."""
+    lines, bom = list(lines), ""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines)) if lines else 0
+        how = rng.choice(["drop", "duplicate", "swap", "char", "add", "upper", "bom"])
+        if not lines and how != "add":
+            continue
+        if how == "drop":
+            del lines[k]
+        elif how == "duplicate":
+            lines.insert(k, lines[k])
+        elif how == "swap" and k + 1 < len(lines):
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif how == "char" and lines[k]:
+            j = rng.randrange(len(lines[k]))
+            lines[k] = lines[k][:j] + rng.choice("0123456789 :#-x\u03a3\t") + lines[k][j + 1:]
+        elif how == "add":
+            lines.insert(k, rng.choice(["", "   ", "# a comment", "junk", "arrow 1 2", "\x00"]))
+        elif how == "upper":
+            lines[k] = lines[k].upper()
+        elif how == "bom":
+            bom = "\ufeff"
+    return bom + "\n".join(lines) + "\n"
+
+
+def test_fuzzed_quiver_files_exit_zero_or_two(tmp_path, capsys):
+    rng = random.Random(31)
+    codes = {0: 0, 2: 0}
+    for n in range(300):
+        spec = tmp_path / f"quiver{n}.txt"
+        spec.write_text(mutate_quiver_file(rng, rng.choice(QUIVER_FILES)), encoding="utf-8")
+        code = main(["describe", "--orientation", f"file:{spec}"])
+        err = capsys.readouterr().err
+        assert code in codes, spec.read_text(encoding="utf-8")
+        assert code == 0 or err.startswith("cyclotome: error:"), err
+        assert "Traceback" not in err
+        codes[code] += 1
+    # both outcomes occur, so the fuzz reaches both a loaded quiver and a refused file
     assert min(codes.values()) > 0
 
 

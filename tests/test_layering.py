@@ -309,7 +309,8 @@ def interpreter(version: str):
     ["describe", "--type", "A3"],
     ["verify", "ef", "--type", "A2", "--json"],
     ["describe", "--type", "D4", "--json"],
-], ids=["describe", "verify-ef-json", "describe-d4-json"])
+    ["verify", "all", "--type", "A3", "--orientation", "alternating", "--json"],
+], ids=["describe", "verify-ef-json", "describe-d4-json", "verify-all-a3-json"])
 def test_cli_runs_alike_on_other_interpreters(version, argv):
     exe = interpreter(version)
     if exe is None:

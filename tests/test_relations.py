@@ -33,6 +33,7 @@ from math import comb
 import pytest
 
 from cyclotome import forms, relations
+from cyclotome.cli import main
 from cyclotome import (
     VWPair,
     RELATIONS,
@@ -69,6 +70,14 @@ def check_value(report, name):
 
 def a2():
     return build_index(orient("A2", "linear"))
+
+
+def as_data(report):
+    """A report as the plain data that verify --json prints: the values go
+    through repr, and each check and the report carry their verdicts."""
+    checks = [(c.name, repr(c.computed), repr(c.expected), c.passed) for c in report.checks]
+    return (report.relation, report.dynkin_type, report.orientation, list(report.args), checks,
+            all(c[3] for c in checks))
 
 
 # == 1. EK =========================================================================
@@ -401,8 +410,8 @@ class TestDictionary:
         idx = build_index(orient("A3", "alternating"))
         reports = verify(idx, relation, mass_cap=2)
         assert reports
-        assert [r.to_dict() for r in reports] == [
-            r.to_dict() for r in verify_all(idx, mass_cap=2) if r.relation == relation
+        assert [as_data(r) for r in reports] == [
+            as_data(r) for r in verify_all(idx, mass_cap=2) if r.relation == relation
         ]
 
     @pytest.mark.parametrize("t,cap,calls", [
@@ -432,19 +441,22 @@ class TestDictionary:
                 elif isinstance(c.computed, dict):
                     c.computed[(0, 0)] = 7
         fresh = verify_all(build_index(orient("D4", "alternating")), mass_cap=2)
-        assert [r.to_dict() for r in verify_all(idx, mass_cap=2)] == [r.to_dict() for r in fresh]
+        assert [as_data(r) for r in verify_all(idx, mass_cap=2)] == [as_data(r) for r in fresh]
 
     def test_verify_rejects_an_unknown_relation(self):
         with pytest.raises(ValueError, match="unknown relation"):
             verify(a2(), "all")
 
-    def test_report_serializes(self):
-        rep = verify_ek(a2(), 1, 2)
-        payload = json.dumps(rep.to_dict())
-        parsed = json.loads(payload)
-        assert parsed["pass"] is True
-        assert parsed["relation"] == "ek"
-        assert all(c["pass"] for c in parsed["checks"])
+    def test_report_serializes(self, capsys):
+        assert main(["verify", "ek", "--type", "A2", "--json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        (report,) = [r for r in parsed["reports"] if r["args"] == [1, 2]]
+        assert report["pass"] is True
+        assert report["relation"] == "ek"
+        assert all(c["pass"] for c in report["checks"])
+        # the printed report is verify_ek's, value for value
+        assert [(c["name"], c["computed"], c["expected"], c["pass"]) for c in report["checks"]] \
+            == as_data(verify_ek(a2(), 1, 2))[4]
 
     def test_failing_check_fails_report(self):
         from cyclotome.relations import Check, VerificationReport
@@ -452,9 +464,9 @@ class TestDictionary:
         rep = VerificationReport("demo", "A2", "", ())
         rep.add("doomed", 1, 2)
         assert not rep.passed
-        payload = rep.to_dict()
-        assert payload["pass"] is False
-        assert payload["checks"][0]["pass"] is False
+        *_, checks, passed = as_data(rep)
+        assert passed is False
+        assert checks[0][3] is False
 
     def test_relabeling_invariance_a2(self):
         # the two linear A2 orientations differ by swapping vertex labels
