@@ -123,9 +123,12 @@ class ARQuiver(Tables):
             ji, ei = self.injective[i]
             for d in range(self.h):
                 self.sigma_slot[(i, d)] = (ji, (d + 1 + ei) % self.h)
+        # hom_into and object_of_slot rest on Sigma negating every class.
         for slot, image in self.sigma_slot.items():
             if self.sigma_slot[image] != slot:
                 raise MixedSignClassError("slot-level shift is not an involution")
+            if self.class_of[image] != tuple(-x for x in self.class_of[slot]):
+                raise MixedSignClassError(f"the shift of slot {slot} does not negate its class")
 
         # Irreducible-map arrows and mesh middle terms within the window.
         self.arrows: list[tuple[Slot, Slot]] = sorted(
@@ -147,16 +150,10 @@ class ARQuiver(Tables):
         """The window object at a slot: a module, or the shift of one."""
         if slot in self.root_of:
             return DerivedObject(slot, 0)
-        neg = tuple(-x for x in self.class_of[slot])
-        return DerivedObject(self.slot_of_root[neg], 1)
+        return DerivedObject(self.sigma_slot[slot], 1)
 
     def object_name(self, obj: DerivedObject) -> str:
-        base = self.slot_name(obj.slot)
-        if obj.shift == 0:
-            return base
-        if obj.shift == 1:
-            return "Σ" + base
-        return f"Σ^{obj.shift}{base}"
+        return {0: "", 1: "Σ"}.get(obj.shift, f"Σ^{obj.shift}") + self.slot_name(obj.slot)
 
     def slot_name(self, slot: Slot) -> str:
         for prefix, slots in (("S", self.simple), ("P", self.projective), ("I", self.injective)):
@@ -184,15 +181,22 @@ class ARQuiver(Tables):
         return self.stored(("pairing", m, n), euler_form, self.quiver, self.root_of[m],
                            self.root_of[n])
 
+    def hom_into(self, m: Slot, y: Slot) -> int:
+        """dim Hom(M, object at window slot y) = <dim M, class y>^+, read as <M, y>
+        at a module y and as -<M, N> at y = Sigma N, with N = sigma_slot[y]."""
+        if y in self.root_of:
+            return max(self.euler_pairing(m, y), 0)
+        return max(-self.euler_pairing(m, self.sigma_slot[y]), 0)
+
     def hom_dim(self, x: DerivedObject, y: DerivedObject) -> int:
-        """dim Hom(x, y) by the directedness formula; exact for ADE."""
+        """dim Hom(x, y) = dim Hom(M, Sigma^gap N) for x, y shifts of the modules
+        M, N: hom_into at the window slot of Sigma^gap N, which gap 0 or 1 has."""
         gap = y.shift - x.shift
         if gap not in (0, 1):
             return 0
-        pairing = self.euler_pairing(x.slot, y.slot)
-        if gap == 0:
-            return max(pairing, 0)
-        return max(-pairing, 0)
+        if y.slot not in self.root_of:
+            raise KeyError(f"slot {y.slot} holds no module")
+        return self.hom_into(x.slot, self.sigma_slot[y.slot] if gap else y.slot)
 
 
 def knit(quiver: DynkinQuiver) -> ARQuiver:

@@ -16,7 +16,7 @@ import operator
 from itertools import chain, compress, product
 
 from .cyclic import CycIndex, Vertex
-from .derived import DerivedObject, Slot
+from .derived import Slot
 from .quiver import Frozen
 from .vectors import add, canon, canonical_order, scale, sub
 
@@ -168,14 +168,8 @@ def _stored_v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
 
 
 def _build_v_f(index: CycIndex, i: int) -> dict[Vertex, int]:
-    ar = index.ar
-    si = DerivedObject(ar.simple[i], 0)
-    out = {}
-    for v in index.sigma_i_hat:
-        val = ar.hom_dim(si, index.object_at(v))
-        if val:
-            out[v] = val
-    return canon(out)
+    ar, si = index.ar, index.ar.simple[i]
+    return canon({v: ar.hom_into(si, y) for v, y in index.section.items()})
 
 
 def v_sigma_f(index: CycIndex, i: int) -> dict[Vertex, int]:
@@ -276,11 +270,10 @@ def _build_iota(index: CycIndex, slot: Slot) -> VWPair:
     ar = index.ar
     support = [(c, i) for i, c in enumerate(ar.root_of[slot], 1) if c]
     cartan = [(c, _stored_v_f(index, i)) for c, i in support]
-    n_obj = DerivedObject(slot, 0)
     iv: dict[Vertex, int] = {}
     for x in ar.modules:
         vx = index.vertex_of_slot[x]
-        val = sum(c * vf.get(vx, 0) for c, vf in cartan) - ar.hom_dim(n_obj, DerivedObject(x, 0))
+        val = sum(c * vf.get(vx, 0) for c, vf in cartan) - ar.hom_into(slot, x)
         if val < 0:
             raise LiftInvariantError(f"iota_V of {slot} went negative at {x}")
         if val:

@@ -36,18 +36,18 @@ class GradedClass(tuple):
 
 
 def phi(index: CycIndex, w: dict[Vertex, int]) -> GradedClass:
-    """Phi(e_{sigma x}) = class of x, routed by whether x is shifted."""
-    n = index.quiver.n
-    mod = [0] * n
-    sh = [0] * n
+    """Phi(e_{sigma x}) = class of x, routed by the sign of x's window slot."""
+    ar = index.ar
+    mod = [0] * index.quiver.n
+    sh = list(mod)
     for y, c in w.items():
         if y not in index.i_hat:
             raise ValueError(f"{y} is not an I-hat vertex")
-        obj = index.object_at(index.sigma_inv(y))
-        root = index.ar.root_of[obj.slot]
-        target = mod if obj.shift % 2 == 0 else sh
-        for k in range(n):
-            target[k] += c * root[k]
+        slot = index.section[index.sigma_inv(y)]
+        # a module slot's class is its root, a shifted slot's minus the root
+        target, c = (mod, c) if slot in ar.root_of else (sh, -c)
+        for k, x in enumerate(ar.class_of[slot]):
+            target[k] += c * x
     return GradedClass(tuple(mod), tuple(sh))
 
 

@@ -11,6 +11,13 @@ Core claims:
     - the closed Hom formula agrees with the intertwiner oracle, on every
       module pair of every D5 orientation and of alternating E6, in either
       order of the two gaps
+    - hom_into(m, y), the slot-level rule, equals hom_dim from M to the
+      object at slot y and the positive part of <root m, class y>, for every
+      module m and window slot y of every orientation of A1-A5 and D4-D5
+      and both built-in ones of E6-E8; object_of_slot finds the module under
+      a shifted slot as the negated-class lookup does; hom_dim still refuses
+      an object whose slot holds no module, and the window refuses a shift
+      that does not negate classes
     - the oracle builds one representation per root and one nullity per root
       pair, whichever gaps it is asked: D4 at both gaps takes 12 and 144
     - the oracle's representations have the root as dimension vector, map
@@ -29,7 +36,7 @@ from fractions import Fraction
 import pytest
 
 from cyclotome import all_orientations, euler_form, knit, orient, reflections, unit_vector
-from cyclotome.derived import DerivedObject
+from cyclotome.derived import ARQuiver, DerivedObject, MixedSignClassError
 from cyclotome.quiver import cartan_entry
 from cyclotome.reflections import hom_dim_bruteforce, indecomposable_rep, hom_space_dim
 
@@ -202,6 +209,57 @@ class TestHomDim:
                     lhs = ar.hom_dim(x, ar.tau(ar.object_of_slot((i, d))))
                     rhs = ar.hom_dim(x, ar.object_of_slot((i, (d - 1) % ar.h)))
                     assert lhs == rhs
+
+
+def slot_rule_quivers():
+    """Every orientation of A1-A5 and D4-D5, both built-in ones of E6-E8."""
+    for t in ("A1", "A2", "A3", "A4", "A5", "D4", "D5"):
+        yield from all_orientations(t)
+    for t in ("E6", "E7", "E8"):
+        yield from (orient(t, "linear"), orient(t, "alternating"))
+
+
+class TestHomInto:
+    @pytest.mark.parametrize("q", slot_rule_quivers(), ids=str)
+    def test_slot_rule_is_the_positive_part_of_the_euler_form(self, q):
+        ar = knit(q)
+        for y in ar.window_slots():
+            # the module under a shifted slot, looked up by its negated class
+            if y in ar.root_of:
+                expected = DerivedObject(y, 0)
+            else:
+                expected = DerivedObject(ar.slot_of_root[tuple(-x for x in ar.class_of[y])], 1)
+            assert ar.object_of_slot(y) == expected
+            for m in ar.modules:
+                hom = ar.hom_into(m, y)
+                assert hom == ar.hom_dim(DerivedObject(m, 0), expected), (m, y)
+                assert hom == max(euler_form(q, ar.root_of[m], ar.class_of[y]), 0), (m, y)
+
+    @pytest.mark.parametrize("gap", [0, 1])
+    def test_hom_dim_refuses_a_slot_holding_no_module(self, gap):
+        ar = knit(orient("A3", "alternating"))
+        shifted = next(s for s in ar.window_slots() if s not in ar.root_of)
+        module = DerivedObject(ar.modules[0], 0)
+        with pytest.raises(KeyError):
+            ar.hom_dim(module, DerivedObject(shifted, gap))
+        with pytest.raises(KeyError):
+            ar.hom_dim(DerivedObject(shifted, 0), DerivedObject(ar.modules[0], gap))
+
+    def test_a_shift_that_does_not_negate_classes_is_refused(self):
+        class Skewed(ARQuiver):
+            """Sigma followed by tau^(-h/2): on D4 (h = 6, w0 = -1) still an
+            involution on slots, but it fixes every class."""
+
+            @property
+            def injective(self):
+                return self._injective
+
+            @injective.setter
+            def injective(self, value):
+                self._injective = {i: (j, e + self.h // 2) for i, (j, e) in value.items()}
+
+        with pytest.raises(MixedSignClassError, match="does not negate its class"):
+            Skewed(orient("D4", "alternating"))
 
 
 # == 4. the brute-force oracle ======================================================

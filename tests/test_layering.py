@@ -39,6 +39,9 @@ Core claims:
       enumerate_l_dominant_bruteforce, solve_w_tilde_bruteforce and the
       search they share name neither iota, the Kostant multisets, the stored
       lifts, the Cartan vectors nor the triangular decomposition
+    - the v^f, lift and Phi builders read the window by slot: dominance.py
+      and forms.py name neither DerivedObject, CycIndex.object_at nor
+      ARQuiver.hom_dim
     - every function and method under src/, dunders aside, is named by code
       outside its own body in src/ (not counting the re-exports of
       __init__.py), demos/ or bench/, or sits on a short keep-list that gives
@@ -310,7 +313,13 @@ def interpreter(version: str):
     ["verify", "ef", "--type", "A2", "--json"],
     ["describe", "--type", "D4", "--json"],
     ["verify", "all", "--type", "A3", "--orientation", "alternating", "--json"],
-], ids=["describe", "verify-ef-json", "describe-d4-json", "verify-all-a3-json"])
+    ["lift", "--type", "E8", "--orientation", "alternating",
+     "--wtilde", "sigma(P1)=1,sigma(I4)=1,sigma(P8)=2"],
+    ["forms", "--type", "E6", "--orientation", "alternating",
+     "--pair", "v=S1=1;w=sigma(S1)=1,sigma(SigmaS2)=1",
+     "--pair", "v=0;w=sigma(SigmaS1)=2,sigma(S2)=1"],
+], ids=["describe", "verify-ef-json", "describe-d4-json", "verify-all-a3-json", "lift-e8",
+        "forms-e6"])
 def test_cli_runs_alike_on_other_interpreters(version, argv):
     exe = interpreter(version)
     if exe is None:
@@ -372,6 +381,14 @@ def named(tree) -> set[str]:
 def test_hom_oracle_never_names_the_stored_pairing():
     tree = ast.parse((PACKAGE / "reflections.py").read_text(encoding="utf-8"))
     assert "euler_pairing" not in named(tree)
+
+
+@pytest.mark.parametrize("module", ["dominance", "forms"])
+def test_builders_read_homs_by_slot(module):
+    # the v^f, lift and Phi builders read the window by slot (hom_into,
+    # class_of, sigma_slot), never through a derived object
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert named(tree) & {"DerivedObject", "object_at", "hom_dim"} == set()
 
 
 LIFT_NAMES = {
