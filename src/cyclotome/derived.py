@@ -8,8 +8,9 @@ minus the dimension vector of a shifted module when negative.  The classes are
 knitted along the meshes of the Auslander-Reiten quiver, the mesh category ZQ
 (Happel): each is a sum over the arrows into its slot.  The closed Hom formula
 uses that Hom and Ext^1 never coexist between indecomposables over a Dynkin
-quiver, so hom = max(<, >, 0) and ext = max(-<, >, 0); an independent
-matrix-level oracle lives in reflections.py.
+quiver, so hom = max(<, >, 0) and ext = max(-<, >, 0).  The independent
+oracle in reflections.py reads both off explicit matrices, as the nullity and
+the corank of one intertwiner map, with no Euler form.
 """
 
 from __future__ import annotations
@@ -190,12 +191,14 @@ class ARQuiver(Tables):
 
     def hom_dim(self, x: DerivedObject, y: DerivedObject) -> int:
         """dim Hom(x, y) = dim Hom(M, Sigma^gap N) for x, y shifts of the modules
-        M, N: hom_into at the window slot of Sigma^gap N, which gap 0 or 1 has."""
+        M, N: hom_into at the window slot of Sigma^gap N, which gap 0 or 1 has.
+        An object whose slot holds no module is refused at every gap."""
+        for obj in (x, y):
+            if obj.slot not in self.root_of:
+                raise KeyError(f"slot {obj.slot} holds no module")
         gap = y.shift - x.shift
         if gap not in (0, 1):
             return 0
-        if y.slot not in self.root_of:
-            raise KeyError(f"slot {y.slot} holds no module")
         return self.hom_into(x.slot, self.sigma_slot[y.slot] if gap else y.slot)
 
 

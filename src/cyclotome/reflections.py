@@ -4,17 +4,18 @@ Indecomposables are built from simples by unwinding reflection functors
 (Bernstein, Gelfand and Ponomarev) in the sinks-first order of
 quiver.height_function; equal heights are never adjacent, so their reflections
 commute.  Each step replaces the space at a source by the cokernel of its
-out-map, read off one row reduction of its columns.  Hom dimensions are the
-nullities of the intertwiner systems ``phi_t M_h = N_h phi_s``.  Sharing only
-the reflection order with derived.py, never its Euler-form Hom formula, this
-checks that formula independently (Ext^1 on the shift-one gap is hom - <,>,
-exact because the category is hereditary).
+out-map, read off one row reduction of its columns.  Hom and Ext^1 are the
+nullity and the corank of one intertwiner map, (phi_v)_v -> (phi_t M_a -
+N_a phi_s)_a over the arrows a: s -> t, by the standard resolution
+0 -> Hom(M, N) -> (+)_v Hom(M_v, N_v) -> (+)_a Hom(M_s, N_t) -> Ext^1(M, N) -> 0.
+Sharing only the reflection order with derived.py and no Euler form at all,
+this checks derived.py's closed Hom formula independently.
 """
 
 from __future__ import annotations
 
 from .derived import ARQuiver, DerivedObject
-from .quiver import DynkinQuiver, euler_form, height_function
+from .quiver import DynkinQuiver, height_function
 
 
 class ReflectionWalkError(RuntimeError):
@@ -34,7 +35,8 @@ def _reflect_root(quiver: DynkinQuiver, beta: tuple[int, ...], k: int) -> tuple[
 
 
 class Rep:
-    """A representation: dims per vertex, one matrix per arrow (rows x cols = target x source)."""
+    """A representation: dims per vertex and, per arrow, the nonzero entries
+    {(row, col): value} of its matrix (rows x cols = target x source)."""
 
     def __init__(self, arrows, dims, maps):
         self.arrows = tuple(arrows)
@@ -42,74 +44,83 @@ class Rep:
         self.maps = dict(maps)
 
 
-def _zero_matrix(rows, cols):
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-
-
 def _simple_rep(arrows, n, j) -> Rep:
     dims = {i: (1 if i == j else 0) for i in range(1, n + 1)}
-    maps = {(s, t): _zero_matrix(dims[t], dims[s]) for s, t in arrows}
-    return Rep(arrows, dims, maps)
+    return Rep(arrows, dims, {arrow: {} for arrow in arrows})
 
 
-def _rref(rows):
-    """Row-reduce over Q; returns (reduced rows, pivot column list).
+def _subtract(row, f, pivot):
+    """row -= f * pivot in place, on {column: value} dicts that hold no zero."""
+    for c, y in pivot.items():
+        z = row.get(c, 0) - f * y
+        if z:
+            row[c] = z
+        else:
+            del row[c]
 
-    Entries are ints or Fractions.  A pivot of -1 is its own inverse, so it
-    keeps ints as ints and needs no ``fractions`` import.  Each pivot step
-    reads the nonzero columns of the pivot row once and updates only those
-    columns of the rows it clears.
+
+def _eliminate(rows):
+    """Row-reduce over Q: the echelon basis {lead: row} of the rows' span.
+
+    Rows are {column: value} dicts with no zero value, reduced in place; a
+    row's lead is its smallest column.  Each incoming row is reduced only
+    against the basis rows at its leads, and joins the basis, its lead scaled
+    to 1, at the first lead no basis row has.  A lead of -1 is its own
+    inverse, so it keeps ints as ints and needs no ``fractions`` import.
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        support = [j for j in range(c, ncols) if prow[j] != 0]
-        pv = prow[c]
-        if pv != 1:
-            inv = -1  # the inverse of -1; rows of ints stay ints
-            if pv != -1:
-                from fractions import Fraction  # an int pivot of size 2 or more, or a Fraction
-                inv = Fraction(1) / pv
-            for j in support:
-                prow[j] *= inv
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f != 0 and i != r:
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    basis = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = basis.get(lead)
+            if pivot is not None:
+                _subtract(row, row[lead], pivot)
+                continue
+            x = row[lead]
+            if x != 1:
+                inv = -1  # the inverse of -1; rows of ints stay ints
+                if x != -1:
+                    from fractions import Fraction  # an int lead of size 2 or more, or a Fraction
+                    inv = Fraction(1) / x
+                for c in row:
+                    row[c] *= inv
+            basis[lead] = row
             break
-    return rows[:r], pivots
+    return basis
+
+
+def _back_substitute(basis):
+    """The reduced row echelon form of an echelon basis, in place: each row
+    is cleared at the later leads, whose rows are already reduced."""
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        for q in [q for q in row if q != p and q in basis]:
+            _subtract(row, row[q], basis[q])
+    return basis
 
 
 def matrix_rank(rows) -> int:
-    return len(_rref(rows)[0])
+    """The rank over Q of a matrix given as a list of rows."""
+    return len(_eliminate({c: x for c, x in enumerate(row) if x} for row in rows))
 
 
-def _cokernel_projection(f_columns, dim_total):
-    """A (dim_total - r) x dim_total matrix whose kernel is the span of the columns.
+def _cokernel_projection(columns, dim_total):
+    """Rows {coordinate: value} whose common kernel in Q^dim_total is the span
+    of the columns, given as {coordinate: value} dicts and reduced in place.
 
     One row per free coordinate j of the columns' reduced form: 1 at j and minus
-    column j's reduced entries at the pivots.  The rows are independent and
+    column j's reduced entries at the leads.  The rows are independent and
     vanish on every column, so their common kernel is exactly the span.
     """
-    reduced, pivots = _rref(f_columns)
+    reduced = _back_substitute(_eliminate(columns))
     rows = []
-    for j in (c for c in range(dim_total) if c not in pivots):
-        row = [int(i == j) for i in range(dim_total)]
-        for p, red in zip(pivots, reduced):
-            row[p] = -red[j]
-        rows.append(tuple(row))
-    return tuple(rows)
+    for j in (j for j in range(dim_total) if j not in reduced):
+        row = {j: 1}
+        for p, red in reduced.items():
+            if j in red:
+                row[p] = -red[j]
+        rows.append(row)
+    return rows
 
 
 def _reflect_source_minus(rep: Rep, k: int) -> Rep:
@@ -117,13 +128,19 @@ def _reflect_source_minus(rep: Rep, k: int) -> Rep:
     if any(t == k for _, t in rep.arrows):
         raise ValueError(f"vertex {k} is not a source")
     targets = sorted(t for s, t in rep.arrows if s == k)
-    stacked = [row for t in targets for row in rep.maps[(k, t)]]  # f: M_k -> (+) M_t
-    proj = _cokernel_projection(list(zip(*stacked)), len(stacked))
-    maps = {arrow: mat for arrow, mat in rep.maps.items() if arrow[0] != k}
-    offset = 0
+    coords = [(t, r) for t in targets for r in range(rep.dims[t])]  # of (+) M_t
+    position = {coord: j for j, coord in enumerate(coords)}
+    columns = [{} for _ in range(rep.dims[k])]  # f: M_k -> (+) M_t
     for t in targets:
-        maps[(t, k)] = tuple(row[offset:offset + rep.dims[t]] for row in proj)
-        offset += rep.dims[t]
+        for (r, c), x in rep.maps[(k, t)].items():
+            columns[c][position[t, r]] = x
+    proj = _cokernel_projection(columns, len(coords))
+    maps = {arrow: mat for arrow, mat in rep.maps.items() if arrow[0] != k}
+    maps.update({(t, k): {} for t in targets})
+    for i, row in enumerate(proj):
+        for j, x in row.items():
+            t, r = coords[j]
+            maps[(t, k)][i, r] = x
     return Rep(_reflect_arrows(rep.arrows, k), {**rep.dims, k: len(proj)}, maps)
 
 
@@ -162,49 +179,49 @@ def indecomposable_rep(quiver: DynkinQuiver, root: tuple[int, ...]) -> Rep:
     return rep
 
 
-def hom_space_dim(m: Rep, n_: Rep) -> int:
-    """Nullity of the intertwiner system for Hom(M, N)."""
-    verts = sorted(m.dims)
-    unknown_offset = {}
-    total = 0
-    for v in verts:
-        unknown_offset[v] = total
-        total += n_.dims[v] * m.dims[v]
-    rows = []
-    for (s, t) in m.arrows:
-        a = m.maps[(s, t)]   # dims: (m_t, m_s)
-        b = n_.maps[(s, t)]  # dims: (n_t, n_s)
-        # phi_t a - b phi_s = 0, one scalar equation per (r, c) in (n_t, m_s)
-        for r in range(n_.dims[t]):
-            for c in range(m.dims[s]):
-                row = [0] * total
-                for k in range(m.dims[t]):  # phi_t[r][k] * a[k][c]
-                    if a[k][c] != 0:
-                        row[unknown_offset[t] + r * m.dims[t] + k] += a[k][c]
-                for k in range(n_.dims[s]):  # -b[r][k] * phi_s[k][c]
-                    if b[r][k] != 0:
-                        row[unknown_offset[s] + k * m.dims[s] + c] -= b[r][k]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    return total - matrix_rank(rows)
-
-
 def hom_dim_bruteforce(ar: ARQuiver, x: DerivedObject, y: DerivedObject) -> int:
-    """Independent Hom oracle; agrees with ARQuiver.hom_dim on all inputs.
+    """Independent Hom oracle; agrees with ARQuiver.hom_dim on all inputs,
+    refusing an object whose slot holds no module at any gap.
 
-    Keeps each root's representation on ar under ("rep", root), and the
-    intertwiner nullity that both gaps read under ("hom", rx, ry)."""
+    Keeps each root's representation on ar under ("rep", root), and the pair
+    (hom, ext) that gaps 0 and 1 read under ("hom", rx, ry)."""
+    for obj in (x, y):
+        if obj.slot not in ar.root_of:
+            raise KeyError(f"slot {obj.slot} holds no module")
     gap = y.shift - x.shift
     if gap not in (0, 1):
         return 0
-    rx = ar.root_of[x.slot]
-    ry = ar.root_of[y.slot]
-    hom = ar.stored(("hom", rx, ry), _root_pair_hom, ar, rx, ry)
-    if gap == 0:
-        return hom
-    return hom - euler_form(ar.quiver, rx, ry)
+    rx, ry = ar.root_of[x.slot], ar.root_of[y.slot]
+    return ar.stored(("hom", rx, ry), _hom_ext, ar, rx, ry)[gap]
 
 
-def _root_pair_hom(ar: ARQuiver, rx: tuple[int, ...], ry: tuple[int, ...]) -> int:
-    reps = [ar.stored(("rep", r), indecomposable_rep, ar.quiver, r) for r in (rx, ry)]
-    return hom_space_dim(*reps)
+def _hom_ext(ar: ARQuiver, rx: tuple[int, ...], ry: tuple[int, ...]) -> tuple[int, int]:
+    """(dim Hom(M, N), dim Ext^1(M, N)) for the modules M, N of roots rx, ry.
+
+    The unknowns are the entries of each phi_v, an n_v x m_v matrix, and each
+    arrow a: s -> t gives one equation per entry of phi_t M_a - N_a phi_s, an
+    n_t x m_s matrix.  One rank r of these equations gives the nullity
+    unknowns - r and the corank equations - r.
+    """
+    m, n_ = (ar.stored(("rep", r), indecomposable_rep, ar.quiver, r) for r in (rx, ry))
+    offset, unknowns = {}, 0
+    for v, dim in m.dims.items():
+        if dim and n_.dims[v]:
+            offset[v] = unknowns
+            unknowns += n_.dims[v] * dim
+    rows, equations = [], 0
+    for s, t in m.arrows:
+        ms, mt, nt = m.dims[s], m.dims[t], n_.dims[t]
+        if not ms * nt:
+            continue
+        equations += ms * nt
+        system = [{} for _ in range(nt * ms)]  # the equation of entry (r, c) at r * ms + c
+        for (k, c), x in m.maps[(s, t)].items():  # phi_t[r][k] * a[k][c]
+            for r in range(nt):
+                system[r * ms + c][offset[t] + r * mt + k] = x
+        for (r, k), x in n_.maps[(s, t)].items():  # -b[r][k] * phi_s[k][c]
+            for c in range(ms):
+                system[r * ms + c][offset[s] + k * ms + c] = -x
+        rows += system
+    rank = len(_eliminate(rows))
+    return unknowns - rank, equations - rank

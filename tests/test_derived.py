@@ -15,22 +15,29 @@ Core claims:
       object at slot y and the positive part of <root m, class y>, for every
       module m and window slot y of every orientation of A1-A5 and D4-D5
       and both built-in ones of E6-E8; object_of_slot finds the module under
-      a shifted slot as the negated-class lookup does; hom_dim still refuses
-      an object whose slot holds no module, and the window refuses a shift
-      that does not negate classes
-    - the oracle builds one representation per root and one nullity per root
-      pair, whichever gaps it is asked: D4 at both gaps takes 12 and 144
+      a shifted slot as the negated-class lookup does; hom_dim and the
+      oracle both refuse an object whose slot holds no module, at gaps -1 to
+      3, and the window refuses a shift that does not negate classes
+    - the oracle builds one representation per root and one (hom, ext) pair
+      per root pair, whichever gaps it is asked: D4 at both gaps takes 12
+      and 144
+    - the oracle's hom - ext is the Euler form <rx, ry> on every root pair of
+      every orientation of A1-A5 and D4-D5 and both built-in ones of E6-E7,
+      although the oracle never evaluates that form; and it equals hom_dim on
+      every module triple of both built-in E7 orientations at gaps 0 and 1
     - the oracle's representations have the root as dimension vector, map
-      entries of -1, 0 and 1 only, and a local endomorphism ring, on every
-      orientation of D5 and both built-in ones of E8
-    - the oracle's elimination returns the reduced row echelon form of its
-      input, with the pivot list, and the cokernel projection read off it
-      has rows that vanish on the columns, are independent, and number
-      dim_total - rank
+      entries of -1 and 1 only inside the matrix shape, and a local and
+      rigid endomorphism ring (Hom 1, Ext 0), on every orientation of D5 and
+      both built-in ones of E8
+    - the oracle's elimination, back-substituted, returns the reduced row
+      echelon form of its input, with the pivot list, and the cokernel
+      projection read off it has rows that vanish on the columns, are
+      independent, and number dim_total - rank
     - Hom wraps correctly through the slot-level tau
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,7 +45,7 @@ import pytest
 from cyclotome import all_orientations, euler_form, knit, orient, reflections, unit_vector
 from cyclotome.derived import ARQuiver, DerivedObject, MixedSignClassError
 from cyclotome.quiver import cartan_entry
-from cyclotome.reflections import hom_dim_bruteforce, indecomposable_rep, hom_space_dim
+from cyclotome.reflections import hom_dim_bruteforce, indecomposable_rep
 
 
 def reflection_closure_roots(q):
@@ -219,6 +226,17 @@ def slot_rule_quivers():
         yield from (orient(t, "linear"), orient(t, "alternating"))
 
 
+def assert_refuses_shifted_slots(read, gap):
+    """read(ar, x, y) raises KeyError naming the slot when x or y sits at a
+    slot that holds no module, at this gap."""
+    ar = knit(orient("A3", "alternating"))
+    shifted = next(s for s in ar.window_slots() if s not in ar.root_of)
+    module = ar.modules[0]
+    for x, y in (((module, 0), (shifted, gap)), ((shifted, 0), (module, gap))):
+        with pytest.raises(KeyError, match=re.escape(f"slot {shifted} holds no module")):
+            read(ar, DerivedObject(*x), DerivedObject(*y))
+
+
 class TestHomInto:
     @pytest.mark.parametrize("q", slot_rule_quivers(), ids=str)
     def test_slot_rule_is_the_positive_part_of_the_euler_form(self, q):
@@ -235,15 +253,13 @@ class TestHomInto:
                 assert hom == ar.hom_dim(DerivedObject(m, 0), expected), (m, y)
                 assert hom == max(euler_form(q, ar.root_of[m], ar.class_of[y]), 0), (m, y)
 
-    @pytest.mark.parametrize("gap", [0, 1])
+    @pytest.mark.parametrize("gap", [0, 1, -1, 2, 3])
     def test_hom_dim_refuses_a_slot_holding_no_module(self, gap):
-        ar = knit(orient("A3", "alternating"))
-        shifted = next(s for s in ar.window_slots() if s not in ar.root_of)
-        module = DerivedObject(ar.modules[0], 0)
-        with pytest.raises(KeyError):
-            ar.hom_dim(module, DerivedObject(shifted, gap))
-        with pytest.raises(KeyError):
-            ar.hom_dim(DerivedObject(shifted, 0), DerivedObject(ar.modules[0], gap))
+        assert_refuses_shifted_slots(lambda ar, x, y: ar.hom_dim(x, y), gap)
+
+    @pytest.mark.parametrize("gap", [-1, 0, 1, 2, 3])
+    def test_oracle_refuses_a_slot_holding_no_module(self, gap):
+        assert_refuses_shifted_slots(hom_dim_bruteforce, gap)
 
     def test_a_shift_that_does_not_negate_classes_is_refused(self):
         class Skewed(ARQuiver):
@@ -276,8 +292,10 @@ class TestOracle:
             for slot in ar.modules:
                 rep = indecomposable_rep(q, ar.root_of[slot])
                 assert tuple(rep.dims[i] for i in q.vertices) == ar.root_of[slot], (q, slot)
-                entries = [x for mat in rep.maps.values() for row in mat for x in row]
-                assert all(type(x) is int and -1 <= x <= 1 for x in entries), (q, slot)
+                entries = [x for mat in rep.maps.values() for x in mat.values()]
+                assert all(type(x) is int and -1 <= x <= 1 and x for x in entries), (q, slot)
+                assert all(r < rep.dims[t] and c < rep.dims[s]
+                           for (s, t), mat in rep.maps.items() for r, c in mat), (q, slot)
 
     def test_simple_homs(self):
         ar = knit(orient("A3", "linear"))
@@ -298,8 +316,8 @@ class TestOracle:
         for q in wide_oracle_quivers():
             ar = knit(q)
             for slot in ar.modules:
-                rep = indecomposable_rep(q, ar.root_of[slot])
-                assert hom_space_dim(rep, rep) == 1, (q, slot)
+                root = ar.root_of[slot]
+                assert reflections._hom_ext(ar, root, root) == (1, 0), (q, slot)
 
     @pytest.mark.parametrize("t", ["A2", "A3"])
     def test_oracle_matches_closed_formula_everywhere(self, t):
@@ -319,8 +337,8 @@ class TestOracleOnModulePairs:
     @pytest.mark.parametrize("t", ["D5", "E6"])
     @pytest.mark.parametrize("gap_one_first", [False, True], ids=["interleaved", "gap-1-first"])
     def test_oracle_matches_closed_formula_on_every_module_pair(self, t, gap_one_first):
-        # the oracle keeps one nullity per root pair for both gaps, so the
-        # order in which its memo fills must not change an answer
+        # the oracle keeps one (hom, ext) pair per root pair for both gaps,
+        # so the order in which its memo fills must not change an answer
         quivers = list(all_orientations(t)) if t == "D5" else [orient(t, "alternating")]
         wrong = []
         for quiver in quivers:
@@ -337,7 +355,7 @@ class TestOracleOnModulePairs:
         assert wrong == []
 
     def test_oracle_builds_each_rep_and_nullity_once(self, monkeypatch):
-        calls = {"indecomposable_rep": 0, "hom_space_dim": 0}
+        calls = {"indecomposable_rep": 0, "_hom_ext": 0}
         for name in calls:
             def counted(*args, _real=getattr(reflections, name), _name=name):
                 calls[_name] += 1
@@ -349,11 +367,59 @@ class TestOracleOnModulePairs:
                 for y in ar.modules:
                     hom_dim_bruteforce(ar, DerivedObject(x, 0), DerivedObject(y, gap))
         assert len(ar.modules) == 12
-        assert calls == {"indecomposable_rep": 12, "hom_space_dim": 144}
+        assert calls == {"indecomposable_rep": 12, "_hom_ext": 144}
+
+
+def hom_ext_quivers():
+    """Every orientation of A1-A5 and D4-D5, and both built-in ones of E6-E7."""
+    return [*(q for t in ("A1", "A2", "A3", "A4", "A5", "D4", "D5") for q in all_orientations(t)),
+            *(orient(t, o) for t in ("E6", "E7") for o in ("linear", "alternating"))]
+
+
+class TestHomExt:
+    def test_hom_minus_ext_is_the_euler_form(self):
+        # the oracle reads hom and ext as the nullity and corank of one map;
+        # only this test evaluates the Euler form
+        pairs = 0
+        for q in hom_ext_quivers():
+            ar = knit(q)
+            for x in ar.modules:
+                m = DerivedObject(x, 0)
+                for y in ar.modules:
+                    hom = hom_dim_bruteforce(ar, m, DerivedObject(y, 0))
+                    ext = hom_dim_bruteforce(ar, m, DerivedObject(y, 1))
+                    assert hom - ext == euler_form(q, ar.root_of[x], ar.root_of[y]), (q, x, y)
+                    pairs += 1
+        assert pairs == 22_645
+
+    @pytest.mark.parametrize("orientation", ["linear", "alternating"])
+    def test_oracle_matches_closed_formula_on_every_e7_module_triple(self, orientation):
+        ar = knit(orient("E7", orientation))
+        wrong = [
+            (x, y, gap) for x in ar.modules for y in ar.modules for gap in (0, 1)
+            if hom_dim_bruteforce(ar, DerivedObject(x, 0), DerivedObject(y, gap))
+            != ar.hom_dim(DerivedObject(x, 0), DerivedObject(y, gap))
+        ]
+        assert len(ar.modules) == 63
+        assert wrong == []
+
+
+def sparse(rows):
+    """Dense rows as the {column: value} dicts the oracle's elimination reads."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def reduced_echelon(rows):
+    """reflections._eliminate, back-substituted, on dense rows: the reduced
+    rows, made dense again, and their pivot columns."""
+    basis = reflections._back_substitute(reflections._eliminate(sparse(rows)))
+    ncols = len(rows[0]) if rows else 0
+    return [[basis[p].get(c, 0) for c in range(ncols)] for p in sorted(basis)], sorted(basis)
 
 
 class TestRref:
-    """reflections._rref returns the reduced row echelon form and its pivots."""
+    """The oracle's elimination, back-substituted, returns the reduced row
+    echelon form and its pivots."""
 
     @staticmethod
     def scalar(rng, zero_share=0.0):
@@ -392,7 +458,7 @@ class TestRref:
     @pytest.mark.parametrize("seed", range(60))
     def test_reduced_row_echelon_form(self, seed):
         rows, expected, expected_pivots = self.known_answer(seed)
-        reduced, pivots = reflections._rref(rows)
+        reduced, pivots = reduced_echelon(rows)
         assert all(p < q for p, q in zip(pivots, pivots[1:]))
         assert len(reduced) == len(pivots)
         for k, (row, p) in enumerate(zip(reduced, pivots)):
@@ -410,9 +476,9 @@ class TestRref:
 
     def test_mixed_entries_and_more_rows_than_columns(self):
         rows = [[0, 0], [2, Fraction(1, 3)], [Fraction(-4), Fraction(-2, 3)], [0, 5], [1, 1]]
-        assert reflections._rref(rows) == ([[1, 0], [0, 1]], [0, 1])
+        assert reduced_echelon(rows) == ([[1, 0], [0, 1]], [0, 1])
         assert reflections.matrix_rank(rows) == 2
-        assert reflections._rref([]) == ([], [])
+        assert reduced_echelon([]) == ([], [])
 
 
 def random_columns(seed):
@@ -439,8 +505,9 @@ class TestCokernelProjection:
         ([[], []], 0),
     ])
     def test_rows_cut_out_the_span(self, columns, dim_total):
-        proj = reflections._cokernel_projection(columns, dim_total)
-        assert all(len(row) == dim_total for row in proj)
-        assert all(sum(a * b for a, b in zip(row, col)) == 0 for row in proj for col in columns)
+        proj = reflections._cokernel_projection(sparse(columns), dim_total)
+        assert all(0 <= j < dim_total and x for row in proj for j, x in row.items())
+        assert all(sum(x * col[j] for j, x in row.items()) == 0 for row in proj for col in columns)
         assert len(proj) == dim_total - reflections.matrix_rank(columns)
-        assert reflections.matrix_rank(proj) == len(proj)
+        dense = [[row.get(j, 0) for j in range(dim_total)] for row in proj]
+        assert reflections.matrix_rank(dense) == len(proj)

@@ -8,17 +8,24 @@ Core claims:
       entry is read again in its run
     - a Phi that routes the shifted classes into the module part fails
       verify_all on the same quivers
+    - an Euler form <x, y> lowered by 1 wherever it is negative, patched in
+      wherever the package binds euler_form, makes hom_dim disagree with the
+      brute-force Hom oracle on 216 of the 2,304 module triples (gaps 0 and
+      1) of the eight D4 orientations: the oracle reads Ext^1 off its
+      matrices, not as hom - <,>
 
 The checks read their Hom values through hom_dim, so the perturbation
 leaves those reads alone: only what the builders see changes.
 """
 
 import random
+import sys
 
 import pytest
 
-from cyclotome import build_index, forms, orient, relations
-from cyclotome.derived import ARQuiver
+from cyclotome import all_orientations, build_index, forms, knit, orient, quiver, relations
+from cyclotome.derived import ARQuiver, DerivedObject
+from cyclotome.reflections import hom_dim_bruteforce
 from cyclotome.forms import GradedClass
 from cyclotome.relations import verify_all
 
@@ -95,3 +102,30 @@ def test_phi_routing_shifted_classes_to_the_module_part_is_caught(monkeypatch, t
     for module in (forms, relations):
         monkeypatch.setattr(module, "phi", misrouted)
     assert caught(orient(t, orientation), cap)
+
+
+def test_a_lowered_euler_form_is_caught_by_the_hom_oracle(monkeypatch):
+    real = quiver.euler_form
+
+    def lowered(q, x, y):
+        value = real(q, x, y)
+        return value - 1 if value < 0 else value
+
+    # every package module that binds the form reads the lowered one, so an
+    # oracle that read its Ext^1 as hom - <,> would agree with hom_dim
+    patched = [name for name, module in sorted(sys.modules.items())
+               if name.partition(".")[0] == "cyclotome"
+               and getattr(module, "euler_form", None) is real]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "euler_form", lowered)
+    assert {"cyclotome.quiver", "cyclotome.derived"} <= set(patched)
+    triples = disagree = 0
+    for q in all_orientations("D4"):
+        ar = knit(q)
+        for x in ar.modules:
+            for y in ar.modules:
+                for gap in (0, 1):
+                    a, b = DerivedObject(x, 0), DerivedObject(y, gap)
+                    triples += 1
+                    disagree += hom_dim_bruteforce(ar, a, b) != ar.hom_dim(a, b)
+    assert (triples, disagree) == (2304, 216)

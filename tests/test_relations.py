@@ -14,7 +14,7 @@ Core claims:
     - same-n evaluates only the ordered pairs of the module lifts of height
       <= its cap: its verdict is that of the full loop over all N^2 ordered
       pairs of the enumerated pool, the lifts lie in the pool and span it
-      with independent rows (by the Fraction RREF), a perturbed hl_form is
+      with independent rows (by reflections.matrix_rank), a perturbed hl_form is
       caught with real failing pairs, and both sides of the identity are
       bilinear off the l-dominant pairs too
     - same-n's N, counted from the root heights of the modules, equals the

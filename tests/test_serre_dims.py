@@ -8,9 +8,10 @@ Core claims:
       also under a zero dividend
     - Bareiss returns distinct row indices, as many as the rank, and the rows
       at those indices are independent
-    - on integer matrices Bareiss agrees with the Fraction RREF of reflections.py
+    - on integer matrices Bareiss agrees with the sparse Q-elimination of
+      reflections.py (matrix_rank)
     - on Z[t] matrices Bareiss gives the rank over Q(t), which enough integer
-      specialisations of t and that RREF find on their own
+      specialisations of t and that elimination find on their own
     - the Serre elements arrive as dense Z[t] tuples, denominators cleared
     - the quotient's graded dimension equals the Kostant count degree by degree
     - the answer is orientation-independent
@@ -170,8 +171,8 @@ class TestBareissRank:
 
 
 class TestRankKernelsAgree:
-    """Bareiss on constant polynomials is the rank over Q, which the Fraction
-    RREF of reflections.py computes on its own."""
+    """Bareiss on constant polynomials is the rank over Q, which the sparse
+    Q-elimination of reflections.py computes on its own."""
 
     def test_random_integer_matrices(self):
         rng = random.Random(1312)
@@ -197,7 +198,7 @@ class TestRankOverQt:
     """A nonzero r x r minor of a matrix whose entries have degree at most d is
     a polynomial of degree at most D = rows * d, so it has at most D roots.
     Over D + 1 distinct integer values of t the largest rank of the
-    specialised matrix is therefore the rank over Q(t); the Fraction RREF of
+    specialised matrix is therefore the rank over Q(t); the Q-elimination of
     reflections.py computes each of those ranks without any Z[t] code."""
 
     @staticmethod
