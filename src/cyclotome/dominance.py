@@ -346,23 +346,31 @@ def _multisets(roots, remaining, start):
 def kostant_partitions(index: CycIndex, beta: tuple[int, ...]) -> int:
     """Number of multisets of positive roots summing to beta.
 
-    The counts are kept per quiver in the window's "kostant" table, keyed by
-    (remaining, start), so every call on one quiver reuses the earlier ones."""
+    The window's "kostant" table keeps the sorted roots and the counts, so
+    every call on one quiver reuses the earlier ones."""
     beta = _root_weight(index, beta)
-    return _count(positive_roots(index), index.ar.stored("kostant", dict), beta, 0)
+    roots, memo = index.ar.stored("kostant", lambda: (positive_roots(index), {}))
+    return _count(_fitting(roots, beta), memo, beta)
 
 
-def _count(roots, memo, remaining, start):
+def _fitting(roots, remaining):
+    return [r for r in roots if all(map(operator.le, r, remaining))]
+
+
+def _count(fits, memo, remaining):
+    """Multisets of ``fits``, a tail of the sorted roots that fit remaining
+    (so its length names it), summing to remaining; a root that does not fit
+    now never fits a smaller remainder, so each level drops it."""
     if not any(remaining):
         return 1
-    if start == len(roots):
+    if not fits:
         return 0
-    key = (remaining, start)
+    key = (remaining, len(fits))
     if key not in memo:
-        r = roots[start]
+        r = fits[0]
         total, rest = 0, remaining
         while min(rest) >= 0:
-            total += _count(roots, memo, rest, start + 1)
+            total += _count(_fitting(fits[1:], rest), memo, rest)
             rest = tuple(map(operator.sub, rest, r))
         memo[key] = total
     return memo[key]

@@ -9,10 +9,12 @@ rows nonzero in a pivot column are touched.  Each slice is spanned by its
 generators and by E_i r, r E_i for r in a basis of a slice one letter below;
 the pivot rows of that slice's elimination are that basis.  Its columns are
 the words that occur in its rows, sorted, then empty ones up to the number of
-words of its content.  The quotient's graded dimension must match the Kostant
-partition count in every degree; specializing t could drop rank, so nothing
-here ever leaves Z[t].  Most of the arithmetic is a product by a constant or
-a division by 1, which skip the general loops.
+words of its content.  Slices whose supports, labelled by multiplicity, are
+isomorphic are images of one another under a renaming of letters, so only
+the first of each class is eliminated.  The quotient's graded dimension must
+match the Kostant partition count in every degree; specializing t could drop
+rank, so nothing here ever leaves Z[t].  Most of the arithmetic is a product
+by a constant or a division by 1, which skip the general loops.
 """
 
 from __future__ import annotations
@@ -182,6 +184,26 @@ def _multidegrees(n, total):
             yield (first,) + rest
 
 
+def _rooted(quiver, beta, v, parent):
+    """(code, preorder) of the support subtree at v away from parent: the code
+    is (beta_v, sorted child codes), and the children come in code order."""
+    kids = sorted(_rooted(quiver, beta, w, v) for w in quiver.neighbours[v] if w != parent and beta[w - 1])
+    return (beta[v - 1], tuple(c for c, _ in kids)), (v,) + sum((o for _, o in kids), ())
+
+
+def _shape(quiver, beta):
+    """(key, order): two keys are equal exactly when the supports, labelled by
+    beta, are isomorphic, and zipping their orders is such an isomorphism.
+    Each component is rooted where its code is least (Aho, Hopcroft and
+    Ullman, *The Design and Analysis of Computer Algorithms* (1974), 3.2)."""
+    trees = []
+    for v in quiver.vertices:
+        if beta[v - 1] and not any(v in order for _, order in trees):
+            trees.append(min(_rooted(quiver, beta, u, 0) for u in _rooted(quiver, beta, v, 0)[1]))
+    trees.sort()
+    return tuple(c for c, _ in trees), sum((o for _, o in trees), ())
+
+
 def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ...], int]:
     """Graded dimension of the free algebra mod the q-Serre ideal, per multidegree.
 
@@ -197,6 +219,13 @@ def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ..
     or 3 coefficients and is never zero.  The rows go to bareiss_rank dense,
     over the |beta|! / prod(beta_i!) words of content beta: first those that
     occur in the rows, in lexicographic order, then empty columns.
+
+    Each u * gen * w of content beta has its letters in supp beta, and a
+    Serre element's coefficients depend only on whether its letters are
+    adjacent; so a bijection phi: supp beta -> supp beta' keeping adjacency
+    and beta'_phi(i) = beta_i maps I_beta onto I_beta' exactly.  Only the
+    first beta of each _shape key is eliminated; a later one renames the
+    first's kept rows by phi, a basis of its slice, and copies its dimension.
     """
     if maxdeg > MAX_DEGREE:
         raise DegreeTooLargeError(f"total degree {maxdeg} exceeds cap {MAX_DEGREE}")
@@ -205,8 +234,16 @@ def serre_quotient_dims(quiver: DynkinQuiver, maxdeg: int) -> dict[tuple[int, ..
         word = next(iter(gen))
         kept.setdefault(tuple(map(word.count, quiver.vertices)), []).append(gen)
     out: dict[tuple[int, ...], int] = {}
+    shapes = {}
     for total in range(1, maxdeg + 1):
         for beta in _multidegrees(quiver.n, total):
+            key, order = _shape(quiver, beta)
+            rep, rep_order = shapes.setdefault(key, (beta, order))
+            if rep != beta:  # its own generators lie in the renamed span
+                rename = dict(zip(rep_order, order)).__getitem__
+                kept[beta] = [{tuple(map(rename, w)): p for w, p in r.items()} for r in kept[rep]]
+                out[beta] = out[rep]
+                continue
             below = [
                 (i, r) for i in quiver.vertices
                 for r in kept.get(beta[:i - 1] + (beta[i - 1] - 1,) + beta[i:], ())
