@@ -26,26 +26,13 @@ Slot = tuple[int, int]  # (vertex i, tau-exponent d): the object tau^{-d} P_i
 
 
 class DerivedObject(Frozen):
-    """Sigma^shift applied to the module sitting at a (module) window slot;
-    ordered as the pair (slot, shift)."""
+    """Sigma^shift applied to the module sitting at a (module) window slot."""
 
     __slots__ = _fields = ("slot", "shift")
 
     def __init__(self, slot: Slot, shift: int = 0):
         object.__setattr__(self, "slot", slot)
         object.__setattr__(self, "shift", shift)
-
-    def __lt__(self, other):
-        return self._values() < other._values() if type(other) is type(self) else NotImplemented
-
-    def __le__(self, other):
-        return self._values() <= other._values() if type(other) is type(self) else NotImplemented
-
-    def __gt__(self, other):
-        return self._values() > other._values() if type(other) is type(self) else NotImplemented
-
-    def __ge__(self, other):
-        return self._values() >= other._values() if type(other) is type(self) else NotImplemented
 
 
 # -- the AR window -------------------------------------------------------------
@@ -88,18 +75,18 @@ class ARQuiver(Tables):
 
         self.modules: list[Slot] = []
         self.root_of: dict[Slot, tuple[int, ...]] = {}
-        self.slot_of_root: dict[tuple[int, ...], Slot] = {}
         for slot, c in self.class_of.items():
             if all(x >= 0 for x in c) and any(x > 0 for x in c):
                 self.modules.append(slot)
                 self.root_of[slot] = c
-                self.slot_of_root[c] = slot
             elif all(x <= 0 for x in c) and any(x < 0 for x in c):
                 pass
             else:
                 raise MixedSignClassError(f"slot {slot} has class {c}")
         if 2 * len(self.modules) != n * self.h:
             raise MixedSignClassError("module count is not nh/2")
+        # sorted by root: every Kostant walk takes the roots in this order
+        self.slot_of_root = dict(sorted(zip(self.root_of.values(), self.root_of)))
         # Per row, module slots must be an initial segment in d.
         for i in quiver.vertices:
             ds = [d for (j, d) in self.modules if j == i]

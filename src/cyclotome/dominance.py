@@ -313,7 +313,7 @@ def solve_w_tilde(index: CycIndex, wtilde: dict[Vertex, int]) -> VWPair:
 # -- Kostant partitions ------------------------------------------------------------
 
 def positive_roots(index: CycIndex) -> list[tuple[int, ...]]:
-    return sorted(index.ar.root_of.values())
+    return list(index.ar.slot_of_root)  # sorted, as the window keeps them
 
 
 def _root_weight(index: CycIndex, beta) -> tuple[int, ...]:
@@ -326,31 +326,31 @@ def _root_weight(index: CycIndex, beta) -> tuple[int, ...]:
 def kostant_multisets(index: CycIndex, beta: tuple[int, ...]):
     """An iterator over every multiset of positive roots summing to beta, as root
     lists, in lexicographic order of root positions.  Each recursion level
-    takes one root, with its multiplicity from high to low: depth <= |Phi+| + 1."""
-    return _multisets(positive_roots(index), _root_weight(index, beta), 0)
+    takes one root, with its multiplicity from high to low, and hands on only
+    the later roots that still fit the rest: depth <= |Phi+| + 1."""
+    return _multisets(index.ar.slot_of_root, _root_weight(index, beta))
 
 
-def _multisets(roots, remaining, start):
+def _multisets(roots, remaining):
     if not any(remaining):
         yield []
         return
-    for idx in range(start, len(roots)):
-        r, rests = roots[idx], [remaining]  # rests[k] = remaining - k r
+    fits = [r for r in roots if all(map(operator.le, r, remaining))]
+    for k, r in enumerate(fits):
+        rests = [remaining]  # rests[m] = remaining - m r
         while min(rest := tuple(map(operator.sub, rests[-1], r))) >= 0:
             rests.append(rest)
         for mult in range(len(rests) - 1, 0, -1):
-            for tail in _multisets(roots, rests[mult], idx + 1):
+            for tail in _multisets(fits[k + 1:], rests[mult]):
                 yield [r] * mult + tail
 
 
 def kostant_partitions(index: CycIndex, beta: tuple[int, ...]) -> int:
-    """Number of multisets of positive roots summing to beta.
-
-    The window's "kostant" table keeps the sorted roots and the counts, so
-    every call on one quiver reuses the earlier ones."""
+    """Number of multisets of positive roots summing to beta, memoised in the
+    window's "kostant" table; the oracle the listing and the lifts are checked
+    against, so it keeps a fit helper of its own."""
     beta = _root_weight(index, beta)
-    roots, memo = index.ar.stored("kostant", lambda: (positive_roots(index), {}))
-    return _count(_fitting(roots, beta), memo, beta)
+    return _count(_fitting(index.ar.slot_of_root, beta), index.ar.stored("kostant", dict), beta)
 
 
 def _fitting(roots, remaining):
@@ -433,41 +433,40 @@ def _build_lift_row(index: CycIndex, slot: Slot) -> tuple[int, ...]:
 
 def _module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All v with (v, sum beta_i e_{sigma S_i}) l-dominant, one per Kostant
-    multiset, as tuples over V+ in the dense order.
-
-    A recursion takes the non-simple roots one at a time, with every
-    multiplicity that still fits; what is left is a sum of simple roots,
-    which it covers in one way only, so every branch ends in a lift.  Built
-    once per beta and kept on the index."""
+    multiset, as tuples over V+ in the dense order; built once per beta and
+    kept on the index.  The lift walk covers what the non-simple roots leave
+    by simple roots, in one way only, so every branch ends in a lift."""
     return index.stored(("lifts", beta), _build_module_lift_vs, index, beta)
 
 
 def _build_module_lift_vs(index: CycIndex, beta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    ar = index.ar
-    roots = [r for r in positive_roots(index) if sum(r) > 1]
-    simples = [ar.simple[i] for i in index.quiver.vertices]
+    fits = [r for r in index.ar.slot_of_root if sum(r) > 1 and all(map(operator.le, r, beta))]
     out = []
-
-    def rec(remaining, k, acc):
-        if k == len(roots):
-            for slot, c in zip(simples, remaining):
-                if c:
-                    acc = tuple(a + c * x for a, x in zip(acc, _lift_row(index, slot)))
-            out.append(acc)
-            return
-        r = roots[k]
-        while True:
-            rec(remaining, k + 1, acc)
-            remaining = tuple(map(operator.sub, remaining, r))
-            if min(remaining) < 0:
-                return
-            acc = tuple(map(operator.add, acc, _lift_row(index, ar.slot_of_root[r])))
-
-    rec(beta, 0, (0,) * _dense_order(index)[2])
-    del rec  # it refers to itself through its cell: a cycle left for gc
+    _lift_walk(index, fits, beta, (0,) * _dense_order(index)[2], out)
     if len(set(out)) != len(out):
         raise EnumerationMismatchError("two Kostant multisets lifted to one v")
     return tuple(out)
+
+
+def _lift_walk(index: CycIndex, fits, remaining, acc, out) -> None:
+    """Append to out acc plus the lift of each multiset of ``fits`` (the sorted
+    non-simple roots that fit remaining) completed to remaining by simple
+    roots.  Each root takes every multiplicity that fits and hands on only the
+    later roots that still fit the rest."""
+    if not fits:
+        for i, c in enumerate(remaining, 1):
+            if c:
+                acc = tuple(a + c * x for a, x in zip(acc, _lift_row(index, index.ar.simple[i])))
+        out.append(acc)
+        return
+    r, tail = fits[0], fits[1:]
+    while True:
+        _lift_walk(index, tail, remaining, acc, out)
+        remaining = tuple(map(operator.sub, remaining, r))
+        if min(remaining) < 0:
+            return
+        acc = tuple(map(operator.add, acc, _lift_row(index, index.ar.slot_of_root[r])))
+        tail = [x for x in tail if all(map(operator.le, x, remaining))]
 
 
 def enumerate_l_dominant(

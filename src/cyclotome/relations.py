@@ -280,12 +280,11 @@ def verify_kk(index: CycIndex, i: int, j: int) -> VerificationReport:
         add(k_i.v, kp_j.v),
         add(k_i.v, k_j.v),
     ]
-    no_excess = True
-    for v in _dominant_vs(index, w_total):
-        for lead in leaders:
-            if v != lead and all(v.get(k, 0) >= c for k, c in lead.items()):
-                no_excess = False
-    rep.add("no l-dominant v strictly above a leading vector", no_excess, True)
+    rep.add(
+        "no l-dominant v strictly above a leading vector",
+        all(_only_dominant_above(index, w_total, lead) for lead in leaders),
+        True,
+    )
 
     rep.add(
         "d(K'_i,K'_j) = hom + ext",

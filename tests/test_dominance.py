@@ -16,6 +16,8 @@ Core claims:
       order in which the multisets come out
     - the lifts of beta that the enumerator keeps on the index are the iota
       images of the Kostant multisets of beta, one per multiset
+    - the work of the lift walk and of the Kostant listing is pinned: both
+      keep only the roots that still fit the remainder
     - the brute-force searches, which update their slack per coordinate and
       prune, find what a full capped product finds
     - no entry point leaves a reference cycle behind: with the cyclic
@@ -451,6 +453,35 @@ def test_stored_lifts_are_the_kostant_lifts(t, top):
         }
         assert got == want, beta
         assert len(stored) == len(got) == kostant_partitions(idx, beta), beta
+
+
+def test_kostant_walk_work_is_pinned(monkeypatch):
+    """The calls of the lift walk over every W^S + W^SigmaS weight of mass at
+    most 2 on fresh alternating D4 and E6 indices, and the recursion calls of
+    kostant_multisets over every beta of degree at most 3 on E6, each with the
+    total length of the root lists its calls are handed.  A change of walk
+    order or pruning must update this pin and say so in CHANGES.md."""
+    calls = {"_lift_walk": [], "_multisets": []}  # the length of each call's root list
+    for name, at in (("_lift_walk", 1), ("_multisets", 0)):  # at: the root list's argument
+        def spy(*args, real=getattr(dominance, name), seen=calls[name], at=at):
+            seen.append(len(args[at]))
+            return real(*args)
+        monkeypatch.setattr(dominance, name, spy)
+    lift_walks = {}
+    for t in ("D4", "E6"):
+        idx = build_index(orient(t, "alternating"))
+        co = cones(idx)
+        for w in weights(sorted(co.w_s | co.w_sigma_s), 2):
+            enumerate_l_dominant(idx, w)
+        lift_walks[t] = len(calls["_lift_walk"]), sum(calls["_lift_walk"])
+        calls["_lift_walk"].clear()
+    assert lift_walks == {"D4": (21, 3), "E6": (38, 5)}
+    idx = build_index(orient("E6", "alternating"))
+    for beta in product(range(4), repeat=idx.quiver.n):
+        if 0 < sum(beta) <= 3:
+            list(kostant_multisets(idx, beta))
+    assert len(calls["_multisets"]) == 524
+    assert sum(calls["_multisets"]) == 3285
 
 
 # == 8. composite lifts ===================================================================

@@ -40,6 +40,10 @@ Core claims:
       enumerate_l_dominant_bruteforce, solve_w_tilde_bruteforce and the
       search they share name neither iota, the Kostant multisets, the stored
       lifts, the Cartan vectors nor the triangular decomposition
+    - the Kostant count shares no function with the Kostant walks it checks:
+      kostant_partitions, _count and _fitting name neither the listing, the
+      stored lifts, the lift walk, the lift rows nor iota, and those bodies
+      name none of the count's three, so each side tests the fit on its own
     - the v^f, lift and Phi builders read the window by slot: dominance.py
       and forms.py name neither DerivedObject, CycIndex.object_at nor
       ARQuiver.hom_dim
@@ -407,6 +411,24 @@ def test_enumeration_oracles_never_name_the_lifts(oracle):
     bodies = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == oracle]
     assert len(bodies) == 1
     assert named(bodies[0]) & LIFT_NAMES == set()
+
+
+KOSTANT_COUNT = {"kostant_partitions", "_count", "_fitting"}
+KOSTANT_WALKS = {
+    "kostant_multisets", "_multisets", "_module_lift_vs", "_build_module_lift_vs", "_lift_walk",
+    "_lift_row", "_build_lift_row", "iota", "_build_iota",
+}
+
+
+@pytest.mark.parametrize("side,other", [(KOSTANT_COUNT, KOSTANT_WALKS),
+                                        (KOSTANT_WALKS, KOSTANT_COUNT)], ids=["count", "walks"])
+def test_kostant_count_shares_no_function_with_the_walks(side, other):
+    # the enumeration is checked against the count, so neither side may reach
+    # the other, not even for the test of whether a root still fits
+    tree = ast.parse((PACKAGE / "dominance.py").read_text(encoding="utf-8"))
+    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in side}
+    assert set(bodies) == side
+    assert {name: named(body) & other for name, body in bodies.items()} == dict.fromkeys(side, set())
 
 
 def unreached(defining, using) -> list[str]:

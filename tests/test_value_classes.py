@@ -5,8 +5,8 @@ Core claims:
       raises AttributeError
     - each compares and hashes as the tuple of its fields (DynkinQuiver
       without its derived neighbour table), but never equals a plain tuple or
-      another type; DerivedObject also orders as (slot, shift), and
-      never against another type
+      another type; DerivedObject has no order, so < and the other
+      comparisons raise TypeError against another type
     - GradedClass is a tuple: it equals (module_part, shifted_part)
     - Check and VerificationReport are mutable, compare field by field and are
       unhashable; every report starts with its own empty list of checks
@@ -60,14 +60,6 @@ class TestDerivedObject:
         d = DerivedObject((1, 0), 1)
         assert d != other and other != d
         assert not d == other and not other == d
-
-    def test_orders_as_slot_then_shift(self):
-        objs = [DerivedObject((i, d), s) for i in (2, 1) for d in (1, 0) for s in (1, -1, 0)]
-        assert sorted(objs) == sorted(objs, key=lambda o: (o.slot, o.shift))
-        assert DerivedObject((1, 0), 5) < DerivedObject((1, 1), -5)
-        assert DerivedObject((1, 0), 0) <= DerivedObject((1, 0), 0)
-        assert DerivedObject((2, 0)) > DerivedObject((1, 9), 9)
-        assert DerivedObject((2, 0)) >= DerivedObject((2, 0))
 
     @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
                              ids=lambda op: op.__name__)
